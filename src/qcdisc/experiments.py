@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,16 @@ import numpy as np
 from . import __version__
 from .channels import ChannelFamily, ChannelSpec, ETA_MAX
 from .helstrom import WeightedPair, brute_force_povm, optimal_povm, povm_defect
-from .optimizer import BoxDomain, OptimizerConfig, maximize
+# maximize is not called here, but stays importable from this module: the
+# traced benchmark run (perfbench/run.py) wraps experiments.maximize.
+from .optimizer import BoxDomain, OptimizerConfig, OptResult, maximize, maximize_batch  # noqa: F401
 from .strategies import (
     GLOBAL_SHOT_CAP,
     InputSchedule,
     StrategyKind,
     simulate_protocol,
     strategy_value,
+    values,
 )
 
 __all__ = [
@@ -211,26 +213,45 @@ def make_config(
 # input optimization
 
 
-def _schedule_builder(kind: StrategyKind, shots: int, input_mode: str):
-    """Map a flat parameter vector to an input schedule; returns (d, build)."""
+def _layout(kind: StrategyKind, shots: int, input_mode: str) -> tuple[int, str]:
+    """Parameter count and schedule mode of a strategy's input search."""
     if input_mode == "adaptive" and kind is not StrategyKind.GLOBAL:
-        if kind is StrategyKind.BAYESIAN:
-            sizes = [2**k for k in range(shots)]
-        else:
-            sizes = [1] + [2] * (shots - 1)
-        if sum(sizes) <= ADAPTIVE_PARAM_CAP:
-            bounds = []
-            start = 0
-            for size in sizes:
-                bounds.append((start, start + size))
-                start += size
-
-            def build(x):
-                return InputSchedule.adaptive([tuple(x[a:b]) for a, b in bounds])
-
-            return start, build
+        # One r per history node (Bayesian) or per last outcome (Markovian).
+        d = 2**shots - 1 if kind is StrategyKind.BAYESIAN else 2 * shots - 1
+        if d <= ADAPTIVE_PARAM_CAP:
+            return d, "adaptive"
         # Too many free parameters: tie them per shot.
-    return shots, lambda x: InputSchedule.flat(x)
+    return shots, "flat"
+
+
+def _optimize_cells(kind, family: ChannelFamily, cells, shots: int, input_mode: str, opt_cfgs):
+    """Best inputs for one strategy at every ``(eta0, eta1)`` cell.
+
+    One lockstep search over every start of every cell, cell ``i`` with
+    config ``opt_cfgs[i]``; returns one :class:`OptResult` per cell. The
+    depolarizing family is input independent, so each cell is evaluated
+    once at the all-|0> schedule instead.
+    """
+    kind = StrategyKind(kind)
+    if family is ChannelFamily.DEPOLARIZING:
+        sched = InputSchedule.flat((0.0,) * shots)
+        return [
+            OptResult(
+                np.zeros(shots),
+                strategy_value(kind, ChannelSpec(family, e0), ChannelSpec(family, e1), sched),
+                1,
+                True,
+            )
+            for e0, e1 in cells
+        ]
+    d, mode = _layout(kind, shots, input_mode)
+    eta0 = np.array([e0 for e0, _ in cells], dtype=float)
+    eta1 = np.array([e1 for _, e1 in cells], dtype=float)
+    return maximize_batch(
+        lambda cell, x: values(kind, family, eta0[cell], eta1[cell], x, mode),
+        BoxDomain.unit(d),
+        opt_cfgs,
+    )
 
 
 def optimize_strategy(
@@ -243,32 +264,35 @@ def optimize_strategy(
 ):
     """Best inputs for one strategy at a fixed shot count.
 
-    Returns ``(p_succ, r_values, evaluations)``. The depolarizing family is
-    input independent, so it is evaluated once at the all-|0> schedule
-    instead of being optimized.
+    Returns ``(p_succ, r_values, evaluations)``; in adaptive mode
+    ``r_values`` holds the levels of the schedule concatenated. The
+    depolarizing family is input independent, so it is evaluated once at
+    the all-|0> schedule instead of being optimized.
     """
-    kind = StrategyKind(kind)
-    if spec0.family is ChannelFamily.DEPOLARIZING:
-        sched = InputSchedule.flat((0.0,) * shots)
-        return strategy_value(kind, spec0, spec1, sched), (0.0,) * shots, 1
-    d, build = _schedule_builder(kind, shots, input_mode)
-    res = maximize(
-        lambda x: strategy_value(kind, spec0, spec1, build(x)),
-        BoxDomain.unit(d),
-        opt_cfg,
-    )
+    if spec0.family is not spec1.family:
+        raise ValueError(
+            f"channel families differ: {spec0.family.value} vs {spec1.family.value}"
+        )
+    res = _optimize_cells(
+        kind, spec0.family, [(spec0.eta, spec1.eta)], shots, input_mode, [opt_cfg]
+    )[0]
     return res.best_value, tuple(float(v) for v in res.best_point), res.evaluations
 
 
-def _specs(cfg: ExperimentConfig, point) -> tuple[ChannelSpec, ChannelSpec]:
-    return ChannelSpec(cfg.family, point[0]), ChannelSpec(cfg.family, point[1])
+def _warn_unconverged(missed: int, total: int) -> None:
+    if missed:
+        print(
+            f"warning: {missed} of {total} optimizations did not converge",
+            file=sys.stderr,
+        )
 
 
-def _curve_task(payload) -> list[ResultRow]:
+def _curve_task(payload) -> tuple[list[ResultRow], int]:
+    """Rows of one (point, strategy) pair, and how many did not converge."""
     cfg, point_index, strategy = payload
     point = cfg.points[point_index]
-    spec0, spec1 = _specs(cfg, point)
     rows = []
+    missed = 0
     prev_best: tuple | None = None
     for shots in range(1, cfg.n_max + 1):
         if strategy == "global" and shots > GLOBAL_SHOT_CAP:
@@ -289,10 +313,12 @@ def _curve_task(payload) -> list[ResultRow]:
             extra_starts=extra,
         )
         t0 = time.perf_counter()
-        p, r_values, evals = optimize_strategy(
-            strategy, spec0, spec1, shots, cfg.input_mode, opt_cfg
-        )
+        res = _optimize_cells(
+            strategy, cfg.family, [point], shots, cfg.input_mode, [opt_cfg]
+        )[0]
         elapsed = time.perf_counter() - t0
+        r_values = tuple(float(v) for v in res.best_point)
+        missed += not res.converged
         rows.append(
             ResultRow(
                 family=cfg.family.value,
@@ -301,14 +327,14 @@ def _curve_task(payload) -> list[ResultRow]:
                 n=shots,
                 strategy=strategy,
                 input_mode=cfg.input_mode,
-                p_succ=p,
+                p_succ=res.best_value,
                 r_values=r_values,
-                evaluations=evals,
+                evaluations=res.evaluations,
                 wall_time_s=elapsed,
             )
         )
         prev_best = r_values if cfg.input_mode == "flat" else None
-    return rows
+    return rows, missed
 
 
 def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -320,7 +346,7 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
     ]
     groups = _map_tasks(_curve_task, payloads, cfg.jobs)
     by_key = {}
-    for (_, pi, strat), rows in zip(payloads, groups):
+    for (_, pi, strat), (rows, _) in zip(payloads, groups):
         for row in rows:
             by_key[(pi, row.n, strat)] = row
     ordered = []
@@ -330,48 +356,63 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
                 row = by_key.get((pi, shots, strat))
                 if row is not None:
                     ordered.append(row)
+    _warn_unconverged(sum(missed for _, missed in groups), len(ordered))
     return ordered
 
 
-def _sweep_task(payload) -> SweepRow:
-    cfg, e0, e1, seed = payload
-    spec0 = ChannelSpec(cfg.family, e0)
-    spec1 = ChannelSpec(cfg.family, e1)
-    opt_cfg = OptimizerConfig(
-        value_tol=cfg.value_tol,
-        max_evals=cfg.max_evals,
-        seed=seed,
-        max_starts=cfg.max_starts,
+def _sweep_task(payload) -> tuple[list[SweepRow], int]:
+    """Rows of a run of grid cells, and how many optimizations missed."""
+    cfg, cells, seeds = payload
+    opt_cfgs = [
+        OptimizerConfig(
+            value_tol=cfg.value_tol,
+            max_evals=cfg.max_evals,
+            seed=seed,
+            max_starts=cfg.max_starts,
+        )
+        for seed in seeds
+    ]
+    bayes = _optimize_cells(
+        "bayesian", cfg.family, cells, SWEEP_SHOTS, cfg.input_mode, opt_cfgs
     )
-    p_b, _, _ = optimize_strategy(
-        "bayesian", spec0, spec1, SWEEP_SHOTS, cfg.input_mode, opt_cfg
+    markov = _optimize_cells(
+        "markovian", cfg.family, cells, SWEEP_SHOTS, cfg.input_mode, opt_cfgs
     )
-    p_m, _, _ = optimize_strategy(
-        "markovian", spec0, spec1, SWEEP_SHOTS, cfg.input_mode, opt_cfg
-    )
-    return SweepRow(e0, e1, p_b, p_m, p_b - p_m)
+    rows = [
+        SweepRow(e0, e1, b.best_value, m.best_value, b.best_value - m.best_value)
+        for (e0, e1), b, m in zip(cells, bayes, markov)
+    ]
+    return rows, sum(not res.converged for res in bayes + markov)
 
 
 def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
     """Bayesian minus Markovian success at three shots over an eta grid.
 
     Cells are restricted to the lower triangle eta0 > eta1; both sides are
-    input-optimized independently.
+    input-optimized independently, each cell with its own seed. ``jobs``
+    splits the cells into that many contiguous runs, each optimized in one
+    lockstep search per strategy.
     """
     if cfg.grid is None:
         raise ConfigError("sweep-diff requires a grid specification")
     gmin, gmax, steps = cfg.grid
     axis = np.linspace(gmin, gmax, steps)
     cells = [(float(e0), float(e1)) for e0 in axis for e1 in axis if e0 > e1]
-    payloads = [
-        (cfg, e0, e1, cfg.seed + 104729 * i) for i, (e0, e1) in enumerate(cells)
-    ]
-    return _map_tasks(_sweep_task, payloads, cfg.jobs)
+    seeds = [cfg.seed + 104729 * i for i in range(len(cells))]
+    bounds = np.linspace(0, len(cells), min(cfg.jobs, len(cells)) + 1).round().astype(int)
+    payloads = [(cfg, cells[a:b], seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
+    parts = _map_tasks(_sweep_task, payloads, cfg.jobs)
+    _warn_unconverged(sum(missed for _, missed in parts), 2 * len(cells))
+    return [row for rows, _ in parts for row in rows]
 
 
 def _map_tasks(fn, payloads, jobs: int):
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # Imported here: the pool machinery costs about 2 MiB of memory, which a
+    # run with one job never uses.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(payloads) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))

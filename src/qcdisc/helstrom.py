@@ -10,6 +10,13 @@ projective or one of the trivial pairs {I, 0} / {0, I}:
 * lam0 > 0 and 2*p0 > 1 + lam0:   always guess 0, success p0;
 * lam0 <= 0 and p0 <= 1/2:        always guess 1, success 1 - p0;
 * lam0 <= 0 and p0 > 1/2:         always guess 0, success p0.
+
+At lam0 = 0 with p0 <= 1/2 the projector and "always guess 1" tie on the
+one-shot success 1 - p0, and the sign of a rounding residue in lam0 would
+pick between them. The projector is kept on such a tie (lam0 within
+:data:`TIE_TOL` of zero) unless the difference operator itself vanishes:
+it is the limit of the optimal measurement for inputs that move off the
+tie, and unlike the trivial POVM it leaves information for later shots.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "HelstromResult",
     "Povm",
     "PovmCase",
+    "TIE_TOL",
     "WeightedPair",
     "brute_force_povm",
     "delta_op",
@@ -34,6 +42,10 @@ __all__ = [
     "povm_defect",
     "success_and_traces",
 ]
+
+# Tolerance of the one-shot tie rule: |lam0| and the size of the difference
+# operator below it count as zero.
+TIE_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
 _ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -93,7 +105,10 @@ def success_and_traces(p0: float, s0, s1):
     db = p0 * s0[1] - p1 * s1[1]
     dc = p0 * s0[2] - p1 * s1[2]
     lam0, lam1, v0, _ = eig2_entries(da, db, dc)
-    if lam0 > 0.0 and 2.0 * p0 <= 1.0 + lam0:
+    informative = lam0 > 0.0 or (
+        lam0 > -TIE_TOL and abs(da) + abs(db) + abs(dc) > TIE_TOL
+    )
+    if informative and 2.0 * p0 <= 1.0 + lam0:
         x, y = v0
         xc = x.conjugate()
         yc = y.conjugate()

@@ -115,7 +115,9 @@ def eig2_entries(app: float, aqq: float, apq: complex):
         u, w = lam0 - aqq, apq.conjugate()
     else:
         u, w = apq, lam0 - app
-    norm = math.sqrt((u * u.conjugate()).real + (w * w.conjugate()).real)
+    # hypot of the moduli: squaring them underflows to a zero norm once the
+    # off-diagonal entry is below about 1e-154.
+    norm = math.hypot(abs(u), abs(w))
     u /= norm
     w /= norm
     v0 = (u, w)

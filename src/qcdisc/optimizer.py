@@ -4,6 +4,8 @@ The objectives here are smooth, cheap, low-dimensional and often maximized
 on the boundary of the unit box, so the start set is the {0, 1/2, 1}
 corner/center lattice (replaced by a seeded Latin hypercube once the
 lattice outgrows the start cap). Candidate points are clamped into the box.
+All starts of all problems run in lockstep on stacked arrays, so a batched
+objective sees one call per Nelder-Mead step for all of them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxDomain", "OptResult", "OptimizerConfig", "maximize"]
+__all__ = ["BoxDomain", "OptResult", "OptimizerConfig", "maximize", "maximize_batch"]
 
 # Reflection / expansion / contraction / shrink coefficients.
 _ALPHA, _GAMMA, _BETA, _DELTA = 1.0, 2.0, 0.5, 0.5
@@ -90,80 +92,157 @@ def _starts(dom: BoxDomain, cfg: OptimizerConfig) -> np.ndarray:
     return pts
 
 
-def _nelder_mead_min(g, x0, lo, hi, cfg: OptimizerConfig):
-    """One Nelder-Mead run minimizing g from x0; points clamped into the box."""
-    d = x0.size
-    step = cfg.initial_step * (hi - lo)
-    simplex = [np.clip(x0, lo, hi)]
+def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
+    """Best point of each of several problems over the same box.
+
+    ``objective(problem, x)`` takes an index array ``problem`` of shape
+    ``(rows,)`` and points ``x`` of shape ``(rows, d)`` and returns the
+    ``rows`` values, row ``i`` being problem ``problem[i]``'s objective at
+    ``x[i]``. Problem ``j`` uses ``cfgs[j]``. Every start of every problem
+    runs its own Nelder-Mead search (points clamped into the box), and all
+    of them advance in phase, one objective call per step kind: the
+    reflections, then the expansions and contractions, then the shrinks.
+    A start follows the same trajectory as it would alone, as long as the
+    objective's value for a row does not depend on the other rows.
+    Returns one :class:`OptResult` per problem; ``converged`` is True only
+    if every start of that problem met its value tolerance within its
+    evaluation budget.
+    """
+    d = dom.d
+    lo = np.asarray(dom.lower, dtype=float)
+    hi = np.asarray(dom.upper, dtype=float)
+    # One row per start, stacked problem by problem.
+    starts = [_starts(dom, cfg) for cfg in cfgs]
+    problem = np.repeat(np.arange(len(cfgs)), [len(pts) for pts in starts])
+    x0 = np.vstack(starts)
+    rows = len(problem)
+    tol = np.array([cfgs[j].value_tol for j in problem])
+    budget = np.array([cfgs[j].max_evals for j in problem])
+    step = np.array([cfgs[j].initial_step for j in problem])[:, None] * (hi - lo)
+
+    def g(live, x):
+        return -np.asarray(objective(problem[live], x), dtype=float)
+
+    # Simplex of each start in rows; vertex 0 is the clamped start point,
+    # vertex i + 1 moves coordinate i by the step, inward at the upper bound.
+    first = np.clip(x0, lo, hi)
+    simplex = np.repeat(first[:, None, :], d + 1, axis=1)
     for i in range(d):
-        x = simplex[0].copy()
-        x[i] = x[i] + step[i] if x[i] + step[i] <= hi[i] else x[i] - step[i]
-        simplex.append(x)
-    evals = 0
+        up = first[:, i] + step[:, i]
+        simplex[:, i + 1, i] = np.where(up <= hi[i], up, first[:, i] - step[:, i])
+    live = np.arange(rows)
+    # One call per vertex rather than one for all keeps a call at one point
+    # per start, as in the reflection step, and so the objective's working
+    # memory down.
+    values = np.stack([g(live, simplex[:, i]) for i in range(d + 1)], axis=1)
+    evals = np.full(rows, d + 1)
 
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return g(x)
+    out_x = np.empty((rows, d))
+    out_g = np.empty(rows)
+    out_evals = np.empty(rows, dtype=int)
+    out_conv = np.zeros(rows, dtype=bool)
 
-    values = [call(x) for x in simplex]
-    converged = False
-    while evals < cfg.max_evals:
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] < cfg.value_tol:
-            converged = True
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = np.clip(centroid + _ALPHA * (centroid - simplex[-1]), lo, hi)
-        fr = call(reflected)
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            expanded = np.clip(centroid + _GAMMA * (centroid - simplex[-1]), lo, hi)
-            fe = call(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        contracted = np.clip(centroid + _BETA * (simplex[-1] - centroid), lo, hi)
-        fc = call(contracted)
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        best = simplex[0]
-        for i in range(1, d + 1):
-            simplex[i] = np.clip(best + _DELTA * (simplex[i] - best), lo, hi)
-            values[i] = call(simplex[i])
-            if evals >= cfg.max_evals:
+    def retire(done, converged):
+        """Record the finished rows and drop them from the live state."""
+        nonlocal live, simplex, values, evals, tol, budget
+        rid = live[done]
+        i_best = np.argmin(values[done], axis=1)
+        out_x[rid] = simplex[done, i_best]
+        out_g[rid] = values[done, i_best]
+        out_evals[rid] = evals[done]
+        out_conv[rid] = converged
+        keep = ~done
+        live, simplex, values = live[keep], simplex[keep], values[keep]
+        evals, tol, budget = evals[keep], tol[keep], budget[keep]
+
+    while live.size:
+        spent = evals >= budget
+        if spent.any():
+            retire(spent, False)
+            if not live.size:
                 break
-    i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best], evals, converged
+        order = np.argsort(values, axis=1, kind="stable")
+        values = np.take_along_axis(values, order, axis=1)
+        simplex = np.take_along_axis(simplex, order[:, :, None], axis=1)
+        met = values[:, -1] - values[:, 0] < tol
+        if met.any():
+            retire(met, True)
+            if not live.size:
+                break
+        # Summed vertex by vertex: the order np.mean sums a single start's
+        # simplex in, so the arithmetic matches a one-start search exactly.
+        centroid = simplex[:, 0].copy()
+        for i in range(1, d):
+            centroid += simplex[:, i]
+        centroid /= d
+        worst = simplex[:, -1]
+        reflected = np.clip(centroid + _ALPHA * (centroid - worst), lo, hi)
+        fr = g(live, reflected)
+        evals += 1
+        best_f, second_f, worst_f = values[:, 0], values[:, -2], values[:, -1]
+        accept = (best_f <= fr) & (fr < second_f)
+        expand = fr < best_f
+        contract = ~(accept | expand)
+        trial = np.clip(
+            np.where(
+                expand[:, None],
+                centroid + _GAMMA * (centroid - worst),
+                centroid + _BETA * (worst - centroid),
+            ),
+            lo,
+            hi,
+        )
+        tried = expand | contract
+        ft = np.full_like(fr, np.nan)
+        if tried.any():
+            ft[tried] = g(live[tried], trial[tried])
+            evals += tried
+        keep_trial = (expand & (ft < fr)) | (contract & (ft < worst_f))
+        take_reflected = accept | (expand & ~keep_trial)
+        simplex[take_reflected, -1] = reflected[take_reflected]
+        values[take_reflected, -1] = fr[take_reflected]
+        simplex[keep_trial, -1] = trial[keep_trial]
+        values[keep_trial, -1] = ft[keep_trial]
+        shrink = contract & ~keep_trial
+        if shrink.any():
+            # Shrink towards the best vertex; a start that runs out of budget
+            # part way keeps its remaining vertices, so it evaluates at least
+            # one and at most d of them.
+            rid = np.flatnonzero(shrink)
+            count = np.clip(budget[rid] - evals[rid], 1, d)
+            moved = np.arange(1, d + 1)[None, :] <= count[:, None]
+            r_idx, v_idx = np.nonzero(moved)
+            r_idx = rid[r_idx]
+            v_idx = v_idx + 1
+            best = simplex[r_idx, 0]
+            points = np.clip(best + _DELTA * (simplex[r_idx, v_idx] - best), lo, hi)
+            simplex[r_idx, v_idx] = points
+            values[r_idx, v_idx] = g(live[r_idx], points)
+            evals[rid] += count
+
+    results = []
+    for j in range(len(cfgs)):
+        mine = np.flatnonzero(problem == j)
+        best_x = None
+        best_g = math.inf
+        for i in mine:
+            if out_g[i] < best_g:
+                best_x, best_g = out_x[i].copy(), float(out_g[i])
+        results.append(
+            OptResult(best_x, -best_g, int(out_evals[mine].sum()), bool(out_conv[mine].all()))
+        )
+    return results
 
 
 def maximize(objective, dom: BoxDomain, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
-    """Best point of ``objective`` over the box, multistart Nelder-Mead.
+    """Best point of a scalar ``objective(x)`` over the box, multistart
+    Nelder-Mead; :func:`maximize_batch` with one problem.
 
     Deterministic for a fixed config. ``converged`` is True only if every
     start met the value tolerance within its budget.
     """
-    lo = np.asarray(dom.lower, dtype=float)
-    hi = np.asarray(dom.upper, dtype=float)
 
-    def g(x):
-        return -objective(x)
+    def batch(_, x):
+        return [objective(row) for row in x]
 
-    best_x = None
-    best_g = math.inf
-    total_evals = 0
-    all_converged = True
-    for start in _starts(dom, cfg):
-        x, gx, evals, conv = _nelder_mead_min(g, np.asarray(start, dtype=float), lo, hi, cfg)
-        total_evals += evals
-        all_converged = all_converged and conv
-        if gx < best_g:
-            best_x, best_g = x, gx
-    return OptResult(best_x, -best_g, total_evals, all_converged)
+    return maximize_batch(batch, dom, [cfg])[0]

@@ -13,8 +13,9 @@ hypotheses) and guess which channel it was from the measurement record.
   evaluation is linear in the shot count.
 
 ``eval_*`` return the full measurement tree; the ``*_value`` variants
-compute only the success probability and are cheap enough to sit inside an
-optimizer loop.
+compute only the success probability of one schedule. :func:`values`
+computes it for many real (phi = 0) schedules and channel pairs at once,
+which is what the input optimizer calls.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelSpec, output_entries
-from .helstrom import Povm, PovmCase, _build_povm, success_and_traces
+from .channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
+from .helstrom import TIE_TOL, Povm, PovmCase, _build_povm, success_and_traces
 
 __all__ = [
     "BAYES_SHOT_CAP",
@@ -42,6 +43,7 @@ __all__ = [
     "markovian_value",
     "simulate_protocol",
     "strategy_value",
+    "values",
 ]
 
 GLOBAL_SHOT_CAP = 10
@@ -409,6 +411,147 @@ def strategy_value(kind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSched
     if kind is StrategyKind.BAYESIAN:
         return bayesian_value(eta0, eta1, sched)
     return markovian_value(eta0, eta1, sched)
+
+
+# ---------------------------------------------------------------------------
+# batched values
+
+
+def _entries_batch(family: ChannelFamily, eta, r):
+    """Output entries (rho00, rho11, rho01) of the phi = 0 input r, elementwise.
+
+    The real-arithmetic twin of :func:`output_entries`, same operations.
+    """
+    a = 1.0 - r
+    off = np.sqrt(r * a)
+    if family is ChannelFamily.DEPOLARIZING:
+        keep = 1.0 - eta
+        return keep * a + 0.5 * eta, keep * r + 0.5 * eta, keep * off
+    if family is ChannelFamily.BIT_FLIP:
+        keep = 1.0 - eta
+        return keep * a + eta * r, keep * r + eta * a, keep * off + eta * off
+    cos_eta = np.cos(eta)
+    sin_eta = np.sin(eta)
+    return a + r * sin_eta * sin_eta, r * cos_eta * cos_eta, off * cos_eta
+
+
+def _traces_batch(p0, s0, s1):
+    """Traces (t0, t1) of the optimal one-shot measurement, elementwise.
+
+    The real-arithmetic twin of :func:`success_and_traces`: the same case
+    split, tie rule and eigenvector branch, so a zero norm cannot occur.
+    """
+    p1 = 1.0 - p0
+    da = p0 * s0[0] - p1 * s1[0]
+    db = p0 * s0[1] - p1 * s1[1]
+    dc = p0 * s0[2] - p1 * s1[2]
+    half_diff = 0.5 * (da - db)
+    absq = np.abs(dc)
+    lam0 = 0.5 * (da + db) + np.hypot(half_diff, absq)
+    tie = (lam0 > -TIE_TOL) & (np.abs(da) + np.abs(db) + absq > TIE_TOL)
+    projective = ((lam0 > 0.0) | tie) & (2.0 * p0 <= 1.0 + lam0)
+    trivial = (lam0 > 0.0) | (p0 > 0.5)
+    upper = half_diff >= 0.0
+    x = np.where(upper, lam0 - db, dc)
+    y = np.where(upper, dc, lam0 - da)
+    diagonal = absq == 0.0
+    if diagonal.any():
+        first = (da >= db)[diagonal]
+        x[diagonal] = first
+        y[diagonal] = ~first
+    norm = np.hypot(x, y)
+    x /= norm
+    y /= norm
+    xx = x * x
+    yy = y * y
+    t0 = np.where(projective, xx * s0[0] + yy * s0[1] + 2.0 * (x * s0[2] * y), trivial)
+    t1 = np.where(projective, xx * s1[0] + yy * s1[1] + 2.0 * (x * s1[2] * y), trivial)
+    return t0, t1
+
+
+def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
+    """Column slice of each shot's r values in a parameter row of length d."""
+    if mode is ScheduleMode.FLAT:
+        return [slice(k, k + 1) for k in range(d)]
+    if kind is StrategyKind.BAYESIAN:
+        shots = (d + 1).bit_length() - 1
+        if 2**shots - 1 != d:
+            raise ScheduleError(f"{d} adaptive bayesian parameters fit no shot count")
+        return [slice(2**k - 1, 2 ** (k + 1) - 1) for k in range(shots)]
+    if d % 2 == 0:
+        raise ScheduleError(f"{d} adaptive markovian parameters fit no shot count")
+    return [slice(0, 1)] + [slice(2 * k - 1, 2 * k + 1) for k in range(1, (d + 1) // 2)]
+
+
+def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarray:
+    """Success probabilities of many phi = 0 schedules at once.
+
+    Row i of ``r_rows`` is a schedule for the channel pair
+    ``(eta0[i], eta1[i])`` of ``family``: one r per shot in flat ``mode``,
+    otherwise the adaptive levels concatenated (1, 2, 4, ... values for the
+    Bayesian strategy, 1, 2, 2, ... for the Markovian). The Bayesian and
+    Markovian walks run level by level over all rows and all nodes of a
+    level; they agree with :func:`bayesian_value` and
+    :func:`markovian_value` to rounding, and a row's value does not depend
+    on the other rows. The global strategy calls :func:`global_value` per
+    row, since its cost is the eigensolve.
+    """
+    kind = StrategyKind(kind)
+    family = ChannelFamily(family)
+    mode = ScheduleMode(mode)
+    r_rows = np.asarray(r_rows, dtype=float)
+    eta0 = np.asarray(eta0, dtype=float)
+    eta1 = np.asarray(eta1, dtype=float)
+    rows = len(r_rows)
+    if r_rows.ndim != 2 or r_rows.shape[1] < 1 or not eta0.shape == eta1.shape == (rows,):
+        raise ScheduleError(
+            f"expected (rows, d) schedules and (rows,) etas, got {r_rows.shape}, "
+            f"{eta0.shape} and {eta1.shape}"
+        )
+    if not np.all((r_rows >= 0.0) & (r_rows <= 1.0)):
+        raise ScheduleError("r must be in [0, 1]")
+    hi = ETA_MAX[family]
+    if not np.all((eta0 >= 0.0) & (eta0 <= hi) & (eta1 >= 0.0) & (eta1 <= hi)):
+        raise ValueError(f"eta out of range [0, {hi:.6g}] for {family.value}")
+    if kind is StrategyKind.GLOBAL:
+        if mode is not ScheduleMode.FLAT:
+            raise ScheduleError("global strategy takes a flat schedule")
+        return np.array([
+            global_value(ChannelSpec(family, e0), ChannelSpec(family, e1), InputSchedule.flat(r))
+            for e0, e1, r in zip(eta0, eta1, r_rows)
+        ])
+    levels = _level_columns(kind, mode, r_rows.shape[1])
+    if kind is StrategyKind.BAYESIAN and len(levels) > BAYES_SHOT_CAP:
+        raise ValueError(
+            f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {len(levels)}"
+        )
+    eta0 = eta0[:, None]
+    eta1 = eta1[:, None]
+    # Hypothesis weights of the nodes of a level: one node per outcome
+    # history for the Bayesian strategy, per last outcome for the Markovian.
+    l0 = l1 = np.ones((rows, 1))
+    for k, cols in enumerate(levels):
+        if k:
+            out0 = (l0 * t0, l0 * (1.0 - t0))
+            out1 = (l1 * t1, l1 * (1.0 - t1))
+            if kind is StrategyKind.BAYESIAN:
+                l0 = np.stack(out0, axis=2).reshape(rows, 2 * t0.shape[1])
+                l1 = np.stack(out1, axis=2).reshape(rows, 2 * t1.shape[1])
+            else:
+                l0 = np.stack([w.sum(axis=1) for w in out0], axis=1)
+                l1 = np.stack([w.sum(axis=1) for w in out1], axis=1)
+        tot = l0 + l1
+        dead = tot <= 0.0
+        if dead.any():
+            # A node without weight is unreachable and contributes nothing.
+            l0 = np.where(dead, 0.0, l0)
+            l1 = np.where(dead, 0.0, l1)
+            tot[dead] = 1.0
+        r = r_rows[:, cols]
+        t0, t1 = _traces_batch(
+            l0 / tot, _entries_batch(family, eta0, r), _entries_batch(family, eta1, r)
+        )
+    return 0.5 * (l0 * t0 + l1 * (1.0 - t1)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ import sys
 import pytest
 
 import qcdisc.experiments as experiments
+from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec
+from qcdisc.strategies import InputSchedule, strategy_value
 from qcdisc.experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
     ConfigError,
     closed_form_one_shot,
     make_config,
+    optimize_strategy,
     read_records_csv,
     read_records_json,
     run_curve,
@@ -158,6 +161,44 @@ def test_sweep_parallel_matches_serial():
     cfg1 = make_config("bit-flip", grid=(0.1, 0.9, 4), seed=2, jobs=1)
     cfg2 = make_config("bit-flip", grid=(0.1, 0.9, 4), seed=2, jobs=2)
     assert run_sweep_diff(cfg1) == run_sweep_diff(cfg2)
+
+
+def test_sweep_adaptive_damping_with_subnormal_inputs():
+    # The optimizer proposes r near 5e-322 here; an underflowing eigenvector
+    # norm used to end the run with ZeroDivisionError.
+    cfg = make_config("amplitude-damping", grid=(0.0, 1.0, 4), input_mode="adaptive", seed=0)
+    rows = run_sweep_diff(cfg)
+    assert len(rows) == 6
+    for row in rows:
+        assert 0.5 - 1e-12 <= row.p_markov <= row.p_bayes + 1e-9 <= 1.0 + 1e-9
+
+
+def test_sweep_warns_when_optimizations_miss(capsys):
+    run_sweep_diff(make_config("bit-flip", grid=(0.0, 1.0, 3), max_evals=8))
+    assert "warning: 6 of 6 optimizations did not converge" in capsys.readouterr().err
+    run_sweep_diff(make_config("bit-flip", grid=(0.0, 1.0, 3)))
+    assert "did not converge" not in capsys.readouterr().err
+
+
+def test_curve_warns_when_optimizations_miss(capsys):
+    cfg = make_config("bit-flip", points=[(0.75, 0.4)], n_max=2,
+                      strategies=("bayesian", "markovian"), max_evals=8)
+    run_curve(cfg)
+    assert "warning: 4 of 4 optimizations did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["bit-flip", "amplitude-damping"])
+@pytest.mark.parametrize("kind", ["bayesian", "markovian"])
+@pytest.mark.parametrize("input_mode", ["flat", "adaptive"])
+def test_optimize_strategy_value_attained(family, kind, input_mode):
+    spec0 = ChannelSpec(family, 0.75 * ETA_MAX[ChannelFamily(family)])
+    spec1 = ChannelSpec(family, 0.4 * ETA_MAX[ChannelFamily(family)])
+    p, r_values, _ = optimize_strategy(kind, spec0, spec1, 3, input_mode)
+    if input_mode == "flat":
+        sched = InputSchedule.flat(r_values)
+    else:  # levels of 1, 2 and then 4 (Bayesian) or 2 (Markovian) values
+        sched = InputSchedule.adaptive([r_values[:1], r_values[1:3], r_values[3:]])
+    assert abs(p - strategy_value(kind, spec0, spec1, sched)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

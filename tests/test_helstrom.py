@@ -10,6 +10,7 @@ from qcdisc.helstrom import (
     optimal_povm,
     outcome_probs,
     povm_defect,
+    success_and_traces,
 )
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -60,6 +61,21 @@ def test_degenerate_boundary_is_a_fair_coin():
     res = optimal_povm(WeightedPair(0.5, MIXED, MIXED))
     assert res.povm.case_tag is PovmCase.ALWAYS_GUESS_1
     assert abs(res.p_succ - 0.5) < 1e-14
+
+
+def test_exact_tie_keeps_the_projector():
+    # p0 rho0 - p1 rho1 = diag(0, -0.2): lam0 is exactly 0, so measuring and
+    # always guessing 1 tie at 0.6; only the measurement informs later shots.
+    s0 = (0.6, 0.4, 0.0j)
+    s1 = (0.4, 0.6, 0.0j)
+    case, p_succ, t0, t1, lam0, _, v0 = success_and_traces(0.4, s0, s1)
+    assert lam0 == 0.0
+    assert case is PovmCase.PROJECTIVE
+    assert abs(p_succ - 0.6) < 1e-15
+    assert (t0, t1) == (0.6, 0.4)
+    # a rounding residue below zero is a tie too
+    case, *_ = success_and_traces(0.4, (0.6, 0.4 + 1e-17, 0.0j), s1)
+    assert case is PovmCase.PROJECTIVE
 
 
 def test_lambda_trace_identity(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from qcdisc.linalg import (
     ConvergenceError,
     NonHermitianError,
     adjoint,
+    eig2_entries,
     eigen_hermitian,
     jacobi_eigh,
     matmul,
@@ -164,3 +167,12 @@ def test_eigen_reconstruction_property(re, im):
     h = 0.5 * (h + h.conj().T)
     eig = eigen_hermitian(h)
     assert np.linalg.norm(eig.reconstruct() - h) < 1e-10
+
+
+def test_eig2_subnormal_off_diagonal_gives_unit_vectors():
+    # Squared moduli of these entries underflow to zero.
+    for app, aqq, apq in ((1e-322, -1e-322, 1e-162), (0.0, 0.0, 2e-170), (-1e-300, 0.0, 3e-170j)):
+        lam0, lam1, v0, v1 = eig2_entries(app, aqq, apq)
+        assert lam0 >= lam1
+        for v in (v0, v1):
+            assert abs(math.hypot(abs(v[0]), abs(v[1])) - 1.0) < 1e-15

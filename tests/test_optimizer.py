@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from qcdisc.channels import ChannelFamily, ChannelSpec
-from qcdisc.optimizer import BoxDomain, OptimizerConfig, maximize
+from qcdisc.optimizer import (
+    BoxDomain,
+    OptimizerConfig,
+    OptResult,
+    _starts,
+    maximize,
+    maximize_batch,
+)
 from qcdisc.strategies import InputSchedule, markovian_value
 
 TIGHT = OptimizerConfig(value_tol=1e-14)
@@ -155,3 +162,137 @@ def test_damping_interior_optimum_location():
     assert abs(r_scan - r_formula) <= 1e-4
     res = maximize(objective, BoxDomain.unit(1), TIGHT)
     assert abs(res.best_point[0] - r_formula) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# lockstep search against the sequential reference
+
+
+def reference_maximize(objective, dom, cfg, stats=None):
+    """Multistart Nelder-Mead one start and one point at a time, as the
+    package ran it before the lockstep search. ``stats["cut_shrinks"]``
+    counts shrinks that ran out of budget part way."""
+    lo = np.asarray(dom.lower, dtype=float)
+    hi = np.asarray(dom.upper, dtype=float)
+    best_x, best_g, total_evals, all_converged = None, math.inf, 0, True
+    for start in _starts(dom, cfg):
+        x, gx, evals, conv = _reference_start(
+            lambda x: -objective(x), np.asarray(start, dtype=float), lo, hi, cfg, stats
+        )
+        total_evals += evals
+        all_converged = all_converged and conv
+        if gx < best_g:
+            best_x, best_g = x, gx
+    return OptResult(best_x, -best_g, total_evals, all_converged)
+
+
+def _reference_start(g, x0, lo, hi, cfg, stats):
+    d = x0.size
+    step = cfg.initial_step * (hi - lo)
+    simplex = [np.clip(x0, lo, hi)]
+    for i in range(d):
+        x = simplex[0].copy()
+        x[i] = x[i] + step[i] if x[i] + step[i] <= hi[i] else x[i] - step[i]
+        simplex.append(x)
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        evals += 1
+        return g(x)
+
+    values = [call(x) for x in simplex]
+    converged = False
+    while evals < cfg.max_evals:
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if values[-1] - values[0] < cfg.value_tol:
+            converged = True
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = np.clip(centroid + 1.0 * (centroid - simplex[-1]), lo, hi)
+        fr = call(reflected)
+        if values[0] <= fr < values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+            continue
+        if fr < values[0]:
+            expanded = np.clip(centroid + 2.0 * (centroid - simplex[-1]), lo, hi)
+            fe = call(expanded)
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
+            else:
+                simplex[-1], values[-1] = reflected, fr
+            continue
+        contracted = np.clip(centroid + 0.5 * (simplex[-1] - centroid), lo, hi)
+        fc = call(contracted)
+        if fc < values[-1]:
+            simplex[-1], values[-1] = contracted, fc
+            continue
+        best = simplex[0]
+        for i in range(1, d + 1):
+            simplex[i] = np.clip(best + 0.5 * (simplex[i] - best), lo, hi)
+            values[i] = call(simplex[i])
+            if evals >= cfg.max_evals:
+                if stats is not None and i < d:
+                    stats["cut_shrinks"] = stats.get("cut_shrinks", 0) + 1
+                break
+    i_best = int(np.argmin(values))
+    return simplex[i_best], values[i_best], evals, converged
+
+
+OBJECTIVES = (
+    lambda x: -float(np.sum((np.asarray(x) - 0.3) ** 2)),
+    lambda x: math.sin(5 * x[0]) * math.cos(3 * x[-1]) + x[0],
+    lambda x: -abs(x[0] - 0.123) - 0.1 * float(np.sum(np.cos(7 * np.asarray(x)))),
+)
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.best_point, want.best_point)
+    assert got.best_value == want.best_value
+    assert got.evaluations == want.evaluations
+    assert got.converged == want.converged
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_maximize_matches_sequential_reference(d):
+    # Lattice and Latin-hypercube starts, extra starts, tight and cut budgets.
+    configs = (
+        OptimizerConfig(max_evals=300),
+        OptimizerConfig(value_tol=1e-14, max_evals=500, seed=3, max_starts=12),
+        OptimizerConfig(max_evals=2 * d + 5, max_starts=9),
+        OptimizerConfig(extra_starts=((0.2,) * d, (0.9,) * d), max_starts=12),
+    )
+    for objective in OBJECTIVES:
+        for cfg in configs:
+            want = reference_maximize(objective, BoxDomain.unit(d), cfg)
+            assert_same_result(maximize(objective, BoxDomain.unit(d), cfg), want)
+
+
+def test_budget_cut_mid_shrink_matches_reference():
+    stats = {}
+    cut = 0
+    for d in (2, 3):
+        for budget in range(d + 1, 60):
+            cfg = OptimizerConfig(max_evals=budget, max_starts=9)
+            for objective in OBJECTIVES:
+                before = stats.get("cut_shrinks", 0)
+                want = reference_maximize(objective, BoxDomain.unit(d), cfg, stats)
+                cut += stats.get("cut_shrinks", 0) > before
+                assert_same_result(maximize(objective, BoxDomain.unit(d), cfg), want)
+    assert cut > 0  # the scan did reach budgets that run out inside a shrink
+
+
+def test_maximize_batch_solves_each_problem_as_alone():
+    centers = np.array([0.1, 0.5, 0.8])
+    cfgs = [OptimizerConfig(seed=s, max_evals=m) for s, m in ((0, 20000), (1, 40), (2, 20000))]
+
+    def objective(problem, x):
+        return -np.sum((x - centers[problem, None]) ** 2, axis=1)
+
+    results = maximize_batch(objective, BoxDomain.unit(2), cfgs)
+    for j, (res, cfg) in enumerate(zip(results, cfgs)):
+        alone = maximize(lambda x: -float(np.sum((x - centers[j]) ** 2)), BoxDomain.unit(2), cfg)
+        assert_same_result(res, alone)
+    assert results[0].converged and not results[1].converged

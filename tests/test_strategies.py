@@ -22,6 +22,7 @@ from qcdisc.strategies import (
     markovian_value,
     simulate_protocol,
     strategy_value,
+    values,
 )
 
 DEP = (ChannelSpec(ChannelFamily.DEPOLARIZING, 0.75), ChannelSpec(ChannelFamily.DEPOLARIZING, 0.4))
@@ -213,6 +214,19 @@ def test_strategy_ordering_same_schedule(rng):
         assert pb >= pm - 1e-9
 
 
+def test_bayesian_continuous_at_box_edge():
+    # r = 1 makes the outputs diagonal and the one-shot rule meets exact
+    # ties; the value there must be the limit from inside the box, and stay
+    # below the global value on the same schedule.
+    spec0 = ChannelSpec(ChannelFamily.BIT_FLIP, 0.793)
+    spec1 = ChannelSpec(ChannelFamily.BIT_FLIP, 0.207)
+    edge = InputSchedule.flat([1.0, 1.0, 0.0])
+    inside = InputSchedule.flat([1 - 1e-9, 1 - 1e-9, 1e-9])
+    pb = bayesian_value(spec0, spec1, edge)
+    assert abs(pb - bayesian_value(spec0, spec1, inside)) <= 1e-6
+    assert pb <= global_value(spec0, spec1, edge) + 1e-12
+
+
 def test_depolarizing_input_independence(rng):
     spec0, spec1 = DEP
     for name, evaluator in EVALUATORS.items():
@@ -279,3 +293,94 @@ def test_simulation_identical_channels_near_half():
 def test_simulation_rejects_bad_trials():
     with pytest.raises(ValueError):
         simulate_protocol("markovian", *BF, InputSchedule.flat([0.5]), 0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# batched values
+
+
+def random_rows(rng, kind, mode, shots, rows):
+    """Schedule rows for ``values`` with boundary and subnormal r mixed in."""
+    if mode == "flat":
+        d = shots
+    else:
+        d = 2**shots - 1 if kind == "bayesian" else 2 * shots - 1
+    r_rows = rng.uniform(0.0, 1.0, (rows, d))
+    r_rows[0] = 0.0
+    r_rows[1] = 1.0
+    r_rows[2, 0] = 5e-322
+    r_rows[3] = rng.choice([0.0, 1.0, 5e-322, 0.5], size=d)
+    return r_rows
+
+
+def schedule_of_row(kind, mode, row):
+    if mode == "flat":
+        return InputSchedule.flat(row)
+    levels, start, k = [], 0, 0
+    while start < len(row):
+        width = 2**k if kind == "bayesian" else min(2**k, 2)
+        levels.append(row[start : start + width])
+        start += width
+        k += 1
+    return InputSchedule.adaptive(levels)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["bayesian", "markovian"])
+@pytest.mark.parametrize("mode", ["flat", "adaptive"])
+def test_batched_values_match_scalar(rng, family, kind, mode):
+    for shots in (1, 2, 3, 5):
+        pairs = [random_spec_pair(rng, family) for _ in range(12)]
+        eta0 = np.array([s0.eta for s0, _ in pairs])
+        eta1 = np.array([s1.eta for _, s1 in pairs])
+        r_rows = random_rows(rng, kind, mode, shots, len(pairs))
+        got = values(kind, family, eta0, eta1, r_rows, mode)
+        for (s0, s1), row, value in zip(pairs, r_rows, got):
+            want = strategy_value(kind, s0, s1, schedule_of_row(kind, mode, row))
+            assert abs(value - want) <= 1e-14
+
+
+def test_batched_global_loops_scalar(rng):
+    s0, s1 = AD
+    r_rows = rng.random((3, 3))
+    got = values("global", s0.family, [s0.eta] * 3, [s1.eta] * 3, r_rows)
+    assert list(got) == [global_value(s0, s1, InputSchedule.flat(r)) for r in r_rows]
+
+
+@pytest.mark.parametrize("kind,mode,shots", [
+    ("bayesian", "flat", 4),
+    ("bayesian", "adaptive", 4),
+    ("markovian", "adaptive", 5),
+])
+def test_batched_values_independent_of_batch(rng, kind, mode, shots):
+    family = ChannelFamily.AMPLITUDE_DAMPING
+    pairs = [random_spec_pair(rng, family) for _ in range(40)]
+    eta0 = np.array([s0.eta for s0, _ in pairs])
+    eta1 = np.array([s1.eta for _, s1 in pairs])
+    r_rows = random_rows(rng, kind, mode, shots, len(pairs))
+    full = values(kind, family, eta0, eta1, r_rows, mode)
+    perm = rng.permutation(len(pairs))
+    shuffled = values(kind, family, eta0[perm], eta1[perm], r_rows[perm], mode)
+    assert np.array_equal(shuffled, full[perm])
+    for i in (0, 3, 17):
+        alone = values(kind, family, eta0[i : i + 1], eta1[i : i + 1], r_rows[i : i + 1], mode)
+        assert alone[0] == full[i]
+
+
+def test_batched_values_validation():
+    family = ChannelFamily.BIT_FLIP
+    with pytest.raises(ScheduleError):
+        values("bayesian", family, [0.7], [0.3], [[0.5, 1.5]])
+    with pytest.raises(ScheduleError):
+        values("bayesian", family, [0.7], [0.3], [[0.5, 0.5]], "adaptive")  # 2 fits no shot count
+    with pytest.raises(ScheduleError):
+        values("markovian", family, [0.7], [0.3], [[0.5, 0.5]], "adaptive")
+    with pytest.raises(ScheduleError):
+        values("global", family, [0.7], [0.3], [[0.5, 0.5, 0.5]], "adaptive")
+    with pytest.raises(ScheduleError):
+        values("markovian", family, [0.7, 0.6], [0.3], [[0.5]])
+    with pytest.raises(ValueError):
+        values("markovian", family, [1.7], [0.3], [[0.5]])
+    with pytest.raises(ValueError):
+        values("bayesian", family, [0.7], [0.3], np.full((1, BAYES_SHOT_CAP + 1), 0.5))
+    assert values("markovian", family, [], [], np.empty((0, 2))).shape == (0,)
