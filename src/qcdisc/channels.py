@@ -158,3 +158,21 @@ def output_entries(c: ChannelSpec, r: float, phi: float = 0.0):
     cos_eta = math.cos(eta)
     sin_eta = math.sin(eta)
     return a + b * sin_eta * sin_eta, b * cos_eta * cos_eta, co * cos_eta
+
+
+def _entries_batch(family: ChannelFamily, eta, r):
+    """Output entries (rho00, rho11, rho01) of the phi = 0 input r, elementwise.
+
+    The real-arithmetic twin of :func:`output_entries`, same operations.
+    """
+    a = 1.0 - r
+    off = np.sqrt(r * a)
+    if family is ChannelFamily.DEPOLARIZING:
+        keep = 1.0 - eta
+        return keep * a + 0.5 * eta, keep * r + 0.5 * eta, keep * off
+    if family is ChannelFamily.BIT_FLIP:
+        keep = 1.0 - eta
+        return keep * a + eta * r, keep * r + eta * a, keep * off + eta * off
+    cos_eta = np.cos(eta)
+    sin_eta = np.sin(eta)
+    return a + r * sin_eta * sin_eta, r * cos_eta * cos_eta, off * cos_eta

@@ -122,6 +122,40 @@ def success_and_traces(p0: float, s0, s1):
     return PovmCase.ALWAYS_GUESS_1, 1.0 - p0, 0.0, 0.0, lam0, lam1, None
 
 
+def _traces_batch(p0, s0, s1):
+    """Traces (t0, t1) of the optimal one-shot measurement, elementwise.
+
+    The real-arithmetic twin of :func:`success_and_traces`: the same case
+    split, tie rule and eigenvector branch, so a zero norm cannot occur.
+    """
+    p1 = 1.0 - p0
+    da = p0 * s0[0] - p1 * s1[0]
+    db = p0 * s0[1] - p1 * s1[1]
+    dc = p0 * s0[2] - p1 * s1[2]
+    half_diff = 0.5 * (da - db)
+    absq = np.abs(dc)
+    lam0 = 0.5 * (da + db) + np.hypot(half_diff, absq)
+    tie = (lam0 > -TIE_TOL) & (np.abs(da) + np.abs(db) + absq > TIE_TOL)
+    projective = ((lam0 > 0.0) | tie) & (2.0 * p0 <= 1.0 + lam0)
+    trivial = (lam0 > 0.0) | (p0 > 0.5)
+    upper = half_diff >= 0.0
+    x = np.where(upper, lam0 - db, dc)
+    y = np.where(upper, dc, lam0 - da)
+    diagonal = absq == 0.0
+    if diagonal.any():
+        first = (da >= db)[diagonal]
+        x[diagonal] = first
+        y[diagonal] = ~first
+    norm = np.hypot(x, y)
+    x /= norm
+    y /= norm
+    xx = x * x
+    yy = y * y
+    t0 = np.where(projective, xx * s0[0] + yy * s0[1] + 2.0 * (x * s0[2] * y), trivial)
+    t1 = np.where(projective, xx * s1[0] + yy * s1[1] + 2.0 * (x * s1[2] * y), trivial)
+    return t0, t1
+
+
 def delta_op(w: WeightedPair) -> np.ndarray:
     """The weighted difference p0*rho0 - (1-p0)*rho1."""
     return w.p0 * np.asarray(w.rho0, dtype=complex) - (1.0 - w.p0) * np.asarray(

@@ -12,10 +12,14 @@ hypotheses) and guess which channel it was from the measurement record.
   the immediately preceding outcome only; histories are marginalized, so
   evaluation is linear in the shot count.
 
-``eval_*`` return the full measurement tree; the ``*_value`` variants
-compute only the success probability of one schedule. :func:`values`
-computes it for many real (phi = 0) schedules and channel pairs at once,
-which is what the input optimizer calls.
+Each feedforward rule is written once, as a scalar walk over one schedule
+that returns the success probability and the nodes it reaches, each with
+its posterior, measurement and traces ``Tr(rho_c pi0)``. ``*_value`` return
+the walk's success probability, ``eval_*`` the measurement tree built from
+its nodes, and :func:`simulate_protocol` samples outcomes from its traces.
+:func:`values` computes the success probability of many real (phi = 0)
+schedules and channel pairs at once, level by level; the input optimizer
+calls it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
-from .helstrom import TIE_TOL, Povm, PovmCase, _build_povm, success_and_traces
+from .channels import ETA_MAX, ChannelFamily, ChannelSpec, _entries_batch, output_entries
+from .helstrom import Povm, PovmCase, _build_povm, _traces_batch, success_and_traces
 
 __all__ = [
     "BAYES_SHOT_CAP",
@@ -194,8 +198,8 @@ def _check_global(eta0, eta1, sched):
         )
 
 
-def eval_global(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
-    """Collective measurement on all shots jointly."""
+def _global_measurement(eta0, eta1, sched):
+    """The collective measurement and its traces Tr(rho0 pi0), Tr(rho1 pi1)."""
     _check_global(eta0, eta1, sched)
     r0, r1 = _global_products(eta0, eta1, sched)
     delta = 0.5 * (r0 - r1)
@@ -211,8 +215,13 @@ def eval_global(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> S
         kept = vecs[:, mask]
         pi0, tag = kept @ kept.conj().T, PovmCase.PROJECTIVE
     pi1 = eye - pi0
-    p = 0.5 * float((np.trace(r0 @ pi0) + np.trace(r1 @ pi1)).real)
-    return StrategyEval(p, {"global": Povm(pi0, pi1, tag)}, {"global": 0.5})
+    return Povm(pi0, pi1, tag), np.trace(r0 @ pi0).real, np.trace(r1 @ pi1).real
+
+
+def eval_global(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
+    """Collective measurement on all shots jointly."""
+    povm, c0, c1 = _global_measurement(eta0, eta1, sched)
+    return StrategyEval(0.5 * float(c0 + c1), {"global": povm}, {"global": 0.5})
 
 
 def global_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
@@ -236,76 +245,70 @@ def _check_bayes(eta0, eta1, sched):
         )
 
 
-def eval_bayesian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
-    """Full-history feedforward: one measurement node per outcome history.
+def _node_pair(eta0, eta1, sched, pairs, k: int, i: int):
+    """Output entries of both channels at node ``i`` of shot ``k + 1``."""
+    if pairs is not None:
+        return pairs[k]
+    r = sched.levels[k][i]
+    return output_entries(eta0, r, sched.phi), output_entries(eta1, r, sched.phi)
 
-    Walks the outcome tree depth first. Each node reweights the hypotheses
-    by the likelihood of its history, takes the optimal one-shot
-    measurement at that weight, and the leaves accumulate the probability
-    that the final outcome names the true channel.
+
+def _bayesian_walk(eta0, eta1, sched):
+    """Full-history feedforward: the success probability and its nodes.
+
+    Walks the outcome tree depth first. Node ``(k, idx)`` is the history of
+    k outcomes that spells idx in binary, first outcome highest. It
+    reweights the hypotheses by the likelihood of its history and takes the
+    optimal one-shot measurement at that weight; the leaves accumulate the
+    probability that the final outcome names the true channel. Returns
+    ``(p_succ, nodes)``, where ``nodes`` lists ``(k, idx, p0, case, v0, t0,
+    t1)`` for each node reached, in visiting order.
     """
     _check_bayes(eta0, eta1, sched)
-    shots = sched.shots
-    flat = sched.mode is ScheduleMode.FLAT
-    pairs = _flat_pairs(eta0, eta1, sched) if flat else None
-    tree: dict = {}
-    posts: dict = {}
-    total = 0.0
-    stack = [((), 1.0, 1.0)]
-    while stack:
-        hist, l0, l1 = stack.pop()
-        tot = l0 + l1
-        if tot <= 0.0:
-            continue
-        k = len(hist)
-        if flat:
-            s0, s1 = pairs[k]
-        else:
-            idx = 0
-            for b in hist:
-                idx = (idx << 1) | b
-            r = sched.levels[k][idx]
-            s0 = output_entries(eta0, r, sched.phi)
-            s1 = output_entries(eta1, r, sched.phi)
-        p0 = l0 / tot
-        case, _, t0, t1, _, _, v0 = success_and_traces(p0, s0, s1)
-        tree[hist] = _build_povm(case, v0)
-        posts[hist] = p0
-        if k == shots - 1:
-            total += l0 * t0 + l1 * (1.0 - t1)
-        else:
-            stack.append((hist + (0,), l0 * t0, l1 * t1))
-            stack.append((hist + (1,), l0 * (1.0 - t0), l1 * (1.0 - t1)))
-    return StrategyEval(0.5 * total, tree, posts)
-
-
-def bayesian_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
-    """Success probability of the Bayesian strategy, no tree construction."""
-    _check_bayes(eta0, eta1, sched)
-    shots = sched.shots
-    flat = sched.mode is ScheduleMode.FLAT
-    pairs = _flat_pairs(eta0, eta1, sched) if flat else None
-    last = shots - 1
+    last = sched.shots - 1
+    pairs = _flat_pairs(eta0, eta1, sched) if sched.mode is ScheduleMode.FLAT else None
+    nodes = []
     total = 0.0
     stack = [(0, 0, 1.0, 1.0)]
     while stack:
         k, idx, l0, l1 = stack.pop()
         tot = l0 + l1
         if tot <= 0.0:
-            continue
-        if flat:
-            s0, s1 = pairs[k]
-        else:
-            r = sched.levels[k][idx]
-            s0 = output_entries(eta0, r, sched.phi)
-            s1 = output_entries(eta1, r, sched.phi)
-        _, _, t0, t1, _, _, _ = success_and_traces(l0 / tot, s0, s1)
+            continue  # a history neither channel can produce
+        s0, s1 = _node_pair(eta0, eta1, sched, pairs, k, idx)
+        p0 = l0 / tot
+        case, _, t0, t1, _, _, v0 = success_and_traces(p0, s0, s1)
+        nodes.append((k, idx, p0, case, v0, t0, t1))
         if k == last:
             total += l0 * t0 + l1 * (1.0 - t1)
         else:
             stack.append((k + 1, idx << 1, l0 * t0, l1 * t1))
             stack.append((k + 1, (idx << 1) | 1, l0 * (1.0 - t0), l1 * (1.0 - t1)))
-    return 0.5 * total
+    return 0.5 * total, nodes
+
+
+def _strategy_eval(p_succ: float, nodes: list, key) -> StrategyEval:
+    """The measurement tree of a walk's nodes, keyed by ``key(k, i)``."""
+    tree: dict = {}
+    posts: dict = {}
+    for k, i, p0, case, v0, _, _ in nodes:
+        label = key(k, i)
+        tree[label] = _build_povm(case, v0)
+        posts[label] = p0
+    return StrategyEval(p_succ, tree, posts)
+
+
+def eval_bayesian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
+    """Full-history feedforward: one measurement node per outcome history."""
+    p, nodes = _bayesian_walk(eta0, eta1, sched)
+    return _strategy_eval(
+        p, nodes, lambda k, idx: tuple((idx >> j) & 1 for j in range(k - 1, -1, -1))
+    )
+
+
+def bayesian_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
+    """Success probability of the Bayesian strategy, no tree construction."""
+    return _bayesian_walk(eta0, eta1, sched)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,90 +320,48 @@ def _check_markov(eta0, eta1, sched):
     _check_schedule(sched, StrategyKind.MARKOVIAN)
 
 
-def _markov_r(sched, k: int, prev_bit: int) -> float:
-    if sched.mode is ScheduleMode.FLAT:
-        return sched.levels[k]
-    return sched.levels[k][prev_bit if k > 0 else 0]
-
-
-def eval_markovian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
+def _markovian_walk(eta0, eta1, sched):
     """Last-outcome feedforward, histories marginalized.
 
-    Keeps one weight per (channel, last outcome) pair. Each shot after the
-    first solves two one-shot problems, one per previous outcome, and the
-    weights are pushed forward through the chosen measurements. The final
-    outcome is the guess.
+    Keeps one weight per (channel, last outcome) pair. Node ``(k, prev)`` is
+    shot k+1 after outcome prev (the first shot is ``(0, 0)``): it solves
+    the one-shot problem at its weights and pushes them forward through the
+    chosen measurement. The final outcome is the guess. Returns
+    ``(p_succ, nodes)`` as :func:`_bayesian_walk` does.
     """
     _check_markov(eta0, eta1, sched)
-    shots = sched.shots
-    phi = sched.phi
-    tree: dict = {}
-    posts: dict = {}
-    r = _markov_r(sched, 0, 0)
-    s0 = output_entries(eta0, r, phi)
-    s1 = output_entries(eta1, r, phi)
-    case, _, t0, t1, _, _, v0 = success_and_traces(0.5, s0, s1)
-    tree[(1, None)] = _build_povm(case, v0)
-    posts[(1, None)] = 0.5
-    w00, w01 = t0, 1.0 - t0
-    w10, w11 = t1, 1.0 - t1
-    for k in range(1, shots):
-        s0 = output_entries(eta0, _markov_r(sched, k, 0), phi)
-        s1 = output_entries(eta1, _markov_r(sched, k, 0), phi)
+    pairs = _flat_pairs(eta0, eta1, sched) if sched.mode is ScheduleMode.FLAT else None
+    nodes = []
+    # (weight under channel 0, under channel 1) per last outcome; before the
+    # first shot all weight sits on outcome 0.
+    w = ((1.0, 1.0), (0.0, 0.0))
+    for k in range(sched.shots):
         n00 = n01 = n10 = n11 = 0.0
-        for prev, m0, m1 in ((0, w00, w10), (1, w01, w11)):
-            if prev == 1:
-                s0 = output_entries(eta0, _markov_r(sched, k, 1), phi)
-                s1 = output_entries(eta1, _markov_r(sched, k, 1), phi)
+        for prev, (m0, m1) in enumerate(w):
             tot = m0 + m1
             if tot <= 0.0:
-                continue
+                continue  # a last outcome neither channel can produce
+            s0, s1 = _node_pair(eta0, eta1, sched, pairs, k, prev)
             p0 = m0 / tot
             case, _, t0, t1, _, _, v0 = success_and_traces(p0, s0, s1)
-            tree[(k + 1, prev)] = _build_povm(case, v0)
-            posts[(k + 1, prev)] = p0
+            nodes.append((k, prev, p0, case, v0, t0, t1))
             n00 += m0 * t0
             n01 += m0 * (1.0 - t0)
             n10 += m1 * t1
             n11 += m1 * (1.0 - t1)
-        w00, w01, w10, w11 = n00, n01, n10, n11
-    return StrategyEval(0.5 * (w00 + w11), tree, posts)
+        w = ((n00, n10), (n01, n11))
+    return 0.5 * (w[0][0] + w[1][1]), nodes
+
+
+def eval_markovian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
+    """Last-outcome feedforward: one measurement node per shot and last outcome."""
+    p, nodes = _markovian_walk(eta0, eta1, sched)
+    return _strategy_eval(p, nodes, lambda k, prev: (k + 1, prev if k else None))
 
 
 def markovian_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
     """Success probability of the Markovian strategy, no tree construction."""
-    _check_markov(eta0, eta1, sched)
-    shots = sched.shots
-    phi = sched.phi
-    s0 = output_entries(eta0, _markov_r(sched, 0, 0), phi)
-    s1 = output_entries(eta1, _markov_r(sched, 0, 0), phi)
-    _, _, t0, t1, _, _, _ = success_and_traces(0.5, s0, s1)
-    w00, w01 = t0, 1.0 - t0
-    w10, w11 = t1, 1.0 - t1
-    for k in range(1, shots):
-        pair0 = (
-            output_entries(eta0, _markov_r(sched, k, 0), phi),
-            output_entries(eta1, _markov_r(sched, k, 0), phi),
-        )
-        if sched.mode is ScheduleMode.FLAT:
-            pair1 = pair0
-        else:
-            pair1 = (
-                output_entries(eta0, _markov_r(sched, k, 1), phi),
-                output_entries(eta1, _markov_r(sched, k, 1), phi),
-            )
-        n00 = n01 = n10 = n11 = 0.0
-        for (s0k, s1k), m0, m1 in ((pair0, w00, w10), (pair1, w01, w11)):
-            tot = m0 + m1
-            if tot <= 0.0:
-                continue
-            _, _, t0, t1, _, _, _ = success_and_traces(m0 / tot, s0k, s1k)
-            n00 += m0 * t0
-            n01 += m0 * (1.0 - t0)
-            n10 += m1 * t1
-            n11 += m1 * (1.0 - t1)
-        w00, w01, w10, w11 = n00, n01, n10, n11
-    return 0.5 * (w00 + w11)
+    return _markovian_walk(eta0, eta1, sched)[0]
 
 
 def strategy_value(kind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
@@ -415,58 +376,6 @@ def strategy_value(kind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSched
 
 # ---------------------------------------------------------------------------
 # batched values
-
-
-def _entries_batch(family: ChannelFamily, eta, r):
-    """Output entries (rho00, rho11, rho01) of the phi = 0 input r, elementwise.
-
-    The real-arithmetic twin of :func:`output_entries`, same operations.
-    """
-    a = 1.0 - r
-    off = np.sqrt(r * a)
-    if family is ChannelFamily.DEPOLARIZING:
-        keep = 1.0 - eta
-        return keep * a + 0.5 * eta, keep * r + 0.5 * eta, keep * off
-    if family is ChannelFamily.BIT_FLIP:
-        keep = 1.0 - eta
-        return keep * a + eta * r, keep * r + eta * a, keep * off + eta * off
-    cos_eta = np.cos(eta)
-    sin_eta = np.sin(eta)
-    return a + r * sin_eta * sin_eta, r * cos_eta * cos_eta, off * cos_eta
-
-
-def _traces_batch(p0, s0, s1):
-    """Traces (t0, t1) of the optimal one-shot measurement, elementwise.
-
-    The real-arithmetic twin of :func:`success_and_traces`: the same case
-    split, tie rule and eigenvector branch, so a zero norm cannot occur.
-    """
-    p1 = 1.0 - p0
-    da = p0 * s0[0] - p1 * s1[0]
-    db = p0 * s0[1] - p1 * s1[1]
-    dc = p0 * s0[2] - p1 * s1[2]
-    half_diff = 0.5 * (da - db)
-    absq = np.abs(dc)
-    lam0 = 0.5 * (da + db) + np.hypot(half_diff, absq)
-    tie = (lam0 > -TIE_TOL) & (np.abs(da) + np.abs(db) + absq > TIE_TOL)
-    projective = ((lam0 > 0.0) | tie) & (2.0 * p0 <= 1.0 + lam0)
-    trivial = (lam0 > 0.0) | (p0 > 0.5)
-    upper = half_diff >= 0.0
-    x = np.where(upper, lam0 - db, dc)
-    y = np.where(upper, dc, lam0 - da)
-    diagonal = absq == 0.0
-    if diagonal.any():
-        first = (da >= db)[diagonal]
-        x[diagonal] = first
-        y[diagonal] = ~first
-    norm = np.hypot(x, y)
-    x /= norm
-    y /= norm
-    xx = x * x
-    yy = y * y
-    t0 = np.where(projective, xx * s0[0] + yy * s0[1] + 2.0 * (x * s0[2] * y), trivial)
-    t1 = np.where(projective, xx * s1[0] + yy * s1[1] + 2.0 * (x * s1[2] * y), trivial)
-    return t0, t1
 
 
 def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
@@ -576,52 +485,22 @@ def simulate_protocol(
         raise ValueError(f"trials must be >= 1, got {trials}")
     kind = StrategyKind(kind)
     rng = np.random.default_rng(seed)
-    shots = sched.shots
     truth = rng.integers(0, 2, size=trials)
 
     if kind is StrategyKind.GLOBAL:
-        ev = eval_global(eta0, eta1, sched)
-        povm = ev.povm_tree["global"]
-        r0, r1 = _global_products(eta0, eta1, sched)
-        p_correct = np.array(
-            [float(np.trace(r0 @ povm.pi0).real), float(np.trace(r1 @ povm.pi1).real)]
-        )
-        hit = rng.random(trials) < p_correct[truth]
+        _, c0, c1 = _global_measurement(eta0, eta1, sched)
+        hit = rng.random(trials) < np.array([c0, c1])[truth]
         return float(hit.mean())
 
-    if kind is StrategyKind.BAYESIAN:
-        ev = eval_bayesian(eta0, eta1, sched)
-        prob0 = [np.full((2, 2**k), 0.5) for k in range(shots)]
-        for hist, povm in ev.povm_tree.items():
-            k = len(hist)
-            idx = 0
-            for b in hist:
-                idx = (idx << 1) | b
-            r = sched.levels[k] if sched.mode is ScheduleMode.FLAT else sched.levels[k][idx]
-            for c, spec in enumerate((eta0, eta1)):
-                rho = _matrix(output_entries(spec, r, sched.phi))
-                prob0[k][c, idx] = float(np.trace(rho @ povm.pi0).real)
-        node = np.zeros(trials, dtype=np.int64)
-        for k in range(shots):
-            p0out = prob0[k][truth, node]
-            bit = (rng.random(trials) >= p0out).astype(np.int64)
-            node = (node << 1) | bit
-        return float(((node & 1) == truth).mean())
-
-    ev = eval_markovian(eta0, eta1, sched)
-    prob0 = [np.full((2, 2), 0.5) for _ in range(shots)]
-    for (shot, prev), povm in ev.povm_tree.items():
-        k = shot - 1
-        cols = (0, 1) if prev is None else (prev,)
-        r = _markov_r(sched, k, 0 if prev is None else prev)
-        for c, spec in enumerate((eta0, eta1)):
-            rho = _matrix(output_entries(spec, r, sched.phi))
-            val = float(np.trace(rho @ povm.pi0).real)
-            for col in cols:
-                prob0[k][c, col] = val
-    last = np.zeros(trials, dtype=np.int64)
-    for k in range(shots):
-        p0out = prob0[k][truth, last]
-        bit = (rng.random(trials) >= p0out).astype(np.int64)
-        last = bit
-    return float((last == truth).mean())
+    # prob0[k][c, i]: probability of outcome 0 at node i of shot k+1 under
+    # channel c; a node the walk never reached keeps 0.5 and is never sampled.
+    bayes = kind is StrategyKind.BAYESIAN
+    _, nodes = (_bayesian_walk if bayes else _markovian_walk)(eta0, eta1, sched)
+    prob0 = [np.full((2, 2**k if bayes else 2), 0.5) for k in range(sched.shots)]
+    for k, i, _, _, _, t0, t1 in nodes:
+        prob0[k][:, i] = t0, t1
+    node = np.zeros(trials, dtype=np.int64)
+    for p0out in prob0:
+        bit = (rng.random(trials) >= p0out[truth, node]).astype(np.int64)
+        node = (node << 1) | bit if bayes else bit
+    return float(((node & 1) == truth).mean())

@@ -227,6 +227,22 @@ def test_bayesian_continuous_at_box_edge():
     assert pb <= global_value(spec0, spec1, edge) + 1e-12
 
 
+def test_pure_outputs_all_strategies_agree(rng):
+    # Bit-flip at eta = 1 and eta = 0 keeps a pure input pure. For pure
+    # outputs the greedy Bayesian strategy attains the collective optimum
+    # (Brody & Meister, PRL 76, 1 (1996); Acin et al., PRA 71, 032338
+    # (2005)), and so does the Markovian one.
+    spec0 = ChannelSpec(ChannelFamily.BIT_FLIP, 1.0)
+    spec1 = ChannelSpec(ChannelFamily.BIT_FLIP, 0.0)
+    rows = [rng.random(n) for n in range(1, 6) for _ in range(40)]
+    rows += [(0.0, 1.0, 0.5), (1.0, 1.0, 1.0), (0.5, 0.5), (0.0,), (1.0, 0.0, 1.0, 0.0)]
+    for row in rows:
+        sched = InputSchedule.flat(row)
+        pg = global_value(spec0, spec1, sched)
+        assert abs(bayesian_value(spec0, spec1, sched) - pg) <= 1e-14, row
+        assert abs(markovian_value(spec0, spec1, sched) - pg) <= 1e-14, row
+
+
 def test_depolarizing_input_independence(rng):
     spec0, spec1 = DEP
     for name, evaluator in EVALUATORS.items():
@@ -278,9 +294,52 @@ def test_simulation_deterministic():
 def test_simulation_perfect_discrimination():
     spec0 = ChannelSpec(ChannelFamily.AMPLITUDE_DAMPING, math.pi / 2)
     spec1 = ChannelSpec(ChannelFamily.AMPLITUDE_DAMPING, 0.0)
-    sched = InputSchedule.flat([1.0])
-    for kind in StrategyKind:
-        assert simulate_protocol(kind, spec0, spec1, sched, 2000, seed=1) == 1.0
+    # After the first of three shots the posterior is certain, and the
+    # feedforward trees hold nodes that neither channel can reach.
+    for r_values in ([1.0], [1.0, 1.0, 1.0]):
+        sched = InputSchedule.flat(r_values)
+        for kind in StrategyKind:
+            assert simulate_protocol(kind, spec0, spec1, sched, 2000, seed=1) == 1.0, (kind, r_values)
+
+
+def sample_tree(kind, spec0, spec1, sched, trials, seed):
+    """Success frequency sampled from the measurement tree of ``eval_*``.
+
+    Takes the draws of :func:`simulate_protocol` in the same order: the true
+    channel of every trial, then one uniform per trial and shot, read as
+    outcome 0 when it falls below Tr(rho pi0) of the node reached.
+    """
+    ev = EVALUATORS[kind](spec0, spec1, sched)
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 2, size=trials)
+    hist = np.zeros(trials, dtype=np.int64)  # outcomes so far, in binary
+    for k in range(sched.shots):
+        draw = rng.random(trials)
+        p0out = np.empty(trials)
+        for h in np.unique(hist):
+            bits = tuple(int(b) for b in format(h, f"0{k}b")) if k else ()
+            if kind == "bayesian":
+                key, node = bits, h
+            else:
+                key, node = (k + 1, bits[-1] if k else None), (bits[-1] if k else 0)
+            for c, spec in enumerate((spec0, spec1)):
+                rho = channel_matrix(spec, sched, k, node)
+                p0out[(hist == h) & (truth == c)] = outcome_probs(rho, ev.povm_tree[key])[0]
+        hist = (hist << 1) | (draw >= p0out)
+    return float(((hist & 1) == truth).mean())
+
+
+@pytest.mark.parametrize("kind", ["bayesian", "markovian"])
+@pytest.mark.parametrize("mode", ["flat", "adaptive"])
+def test_simulation_samples_the_tree(rng, kind, mode):
+    trials = 4000
+    for spec0, spec1 in ALL_PAIRS:
+        for shots in (1, 2, 4):
+            d = shots if mode == "flat" else (2**shots - 1 if kind == "bayesian" else 2 * shots - 1)
+            sched = schedule_of_row(kind, mode, rng.random(d))
+            seed = int(rng.integers(2**31))
+            freq = simulate_protocol(kind, spec0, spec1, sched, trials, seed)
+            assert abs(freq - sample_tree(kind, spec0, spec1, sched, trials, seed)) <= 1.0 / trials
 
 
 def test_simulation_identical_channels_near_half():
