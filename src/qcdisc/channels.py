@@ -141,13 +141,16 @@ def apply(c: ChannelSpec, rho) -> np.ndarray:
 def output_entries(c: ChannelSpec, r: float, phi: float = 0.0):
     """Channel output for the pure input (r, phi) as scalar entries.
 
-    Returns ``(rho00, rho11, rho01)`` with the diagonal real. Bypasses the
-    matrix layer; used by the strategy evaluators in tight loops.
+    Returns ``(rho00, rho11, rho01)`` with the diagonal real. The
+    off-diagonal is a float at phi = 0 and complex otherwise, so the
+    strategy evaluators' per-node kernel runs in real arithmetic on every
+    phi = 0 schedule. Bypasses the matrix layer; used by the strategy
+    evaluators in tight loops.
     """
     a = 1.0 - r
     b = r
     off = math.sqrt(r * (1.0 - r))
-    co = off * cmath.exp(1j * phi) if phi != 0.0 else complex(off)
+    co = off * cmath.exp(1j * phi) if phi != 0.0 else off
     eta = c.eta
     if c.family is ChannelFamily.DEPOLARIZING:
         keep = 1.0 - eta

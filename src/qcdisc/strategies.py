@@ -154,7 +154,8 @@ def _check_schedule(sched: InputSchedule, kind: StrategyKind):
 
 
 def _matrix(s) -> np.ndarray:
-    return np.array([[s[0], s[2]], [s[2].conjugate(), s[1]]], dtype=complex)
+    """The 2x2 matrix of entries ``s``: real when the off-diagonal is a float."""
+    return np.array([[s[0], s[2]], [s[2].conjugate(), s[1]]])
 
 
 def _flat_pairs(eta0, eta1, sched):
@@ -169,23 +170,27 @@ def _flat_pairs(eta0, eta1, sched):
 
 
 def _kron_chain(mats):
+    """Kronecker product of the 2x2 ``mats``, first factor outermost.
+
+    Entry ``(a, b)`` of the next factor scales the whole product so far into
+    the strided block ``[a::2, b::2]`` of the result, in place.
+    """
     out = mats[0]
     for m in mats[1:]:
         n = out.shape[0]
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(2 * n, 2 * n)
+        nxt = np.empty((2 * n, 2 * n), dtype=np.result_type(out, m))
+        for a in range(2):
+            for b in range(2):
+                np.multiply(out, m[a, b], out=nxt[a::2, b::2])
+        out = nxt
     return out
 
 
 def _global_products(eta0, eta1, sched):
     pairs = _flat_pairs(eta0, eta1, sched)
     # phi = 0 keeps every entry real; the real eigensolver is much faster.
-    if sched.phi == 0.0:
-        def mat(s):
-            return np.array([[s[0], s[2].real], [s[2].real, s[1]]])
-    else:
-        mat = _matrix
-    r0 = _kron_chain([mat(s0) for s0, _ in pairs])
-    r1 = _kron_chain([mat(s1) for _, s1 in pairs])
+    r0 = _kron_chain([_matrix(s0) for s0, _ in pairs])
+    r1 = _kron_chain([_matrix(s1) for _, s1 in pairs])
     return r0, r1
 
 
@@ -501,6 +506,8 @@ def simulate_protocol(
         prob0[k][:, i] = t0, t1
     node = np.zeros(trials, dtype=np.int64)
     for p0out in prob0:
-        bit = (rng.random(trials) >= p0out[truth, node]).astype(np.int64)
+        # A flat take reads the same entries as p0out[truth, node], faster.
+        p0 = p0out.ravel().take(truth * p0out.shape[1] + node)
+        bit = (rng.random(trials) >= p0).astype(np.int64)
         node = (node << 1) | bit if bayes else bit
     return float(((node & 1) == truth).mean())

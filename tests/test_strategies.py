@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from qcdisc.strategies import (
     strategy_value,
     values,
 )
+from qcdisc.strategies import _bayesian_walk, _global_measurement, _kron_chain, _markovian_walk
 
 DEP = (ChannelSpec(ChannelFamily.DEPOLARIZING, 0.75), ChannelSpec(ChannelFamily.DEPOLARIZING, 0.4))
 BF = (ChannelSpec(ChannelFamily.BIT_FLIP, 0.75), ChannelSpec(ChannelFamily.BIT_FLIP, 0.4))
@@ -197,6 +199,19 @@ def test_global_matches_iterative_eigensolver(rng):
         assert abs(eval_global(spec0, spec1, sched).p_succ - p_ref) <= 1e-12
 
 
+@pytest.mark.parametrize("complex_factors", [False, True])
+def test_kron_chain_equals_numpy_kron(rng, complex_factors):
+    # Real factors are the phi = 0 outputs, complex ones the phi != 0 ones.
+    # General 2x2 entries, so that a transposed block would show.
+    for n in range(1, 9):
+        mats = [rng.normal(size=(2, 2)) for _ in range(n)]
+        if complex_factors:
+            mats = [m + 1j * rng.normal(size=(2, 2)) for m in mats]
+        got = _kron_chain(mats)
+        assert got.dtype == mats[0].dtype
+        assert np.array_equal(got, functools.reduce(np.kron, mats))
+
+
 def test_global_identical_channels_coin_flip():
     spec = ChannelSpec(ChannelFamily.BIT_FLIP, 0.3)
     ev = eval_global(spec, spec, InputSchedule.flat([0.2, 0.7]))
@@ -340,6 +355,40 @@ def test_simulation_samples_the_tree(rng, kind, mode):
             seed = int(rng.integers(2**31))
             freq = simulate_protocol(kind, spec0, spec1, sched, trials, seed)
             assert abs(freq - sample_tree(kind, spec0, spec1, sched, trials, seed)) <= 1.0 / trials
+
+
+def sample_indexed(kind, spec0, spec1, sched, trials, seed):
+    """The simulator's draws, read from the walk's trace tables by a 2-D index."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 2, size=trials)
+    if kind == "global":
+        _, c0, c1 = _global_measurement(spec0, spec1, sched)
+        return float((rng.random(trials) < np.array([c0, c1])[truth]).mean())
+    bayes = kind == "bayesian"
+    _, nodes = (_bayesian_walk if bayes else _markovian_walk)(spec0, spec1, sched)
+    tables = [np.full((2, 2**k if bayes else 2), 0.5) for k in range(sched.shots)]
+    for k, i, _, _, _, t0, t1 in nodes:
+        tables[k][:, i] = t0, t1
+    node = np.zeros(trials, dtype=np.int64)
+    for table in tables:
+        bit = (rng.random(trials) >= table[truth, node]).astype(np.int64)
+        node = (node << 1) | bit if bayes else bit
+    return float(((node & 1) == truth).mean())
+
+
+@pytest.mark.parametrize("kind,mode", [
+    ("bayesian", "flat"),
+    ("markovian", "adaptive"),
+    ("global", "flat"),
+])
+def test_simulation_equals_indexed_sampler(rng, kind, mode):
+    for spec0, spec1 in ALL_PAIRS:
+        for shots in (1, 3, 5):
+            d = shots if mode == "flat" else 2 * shots - 1
+            sched = schedule_of_row(kind, mode, rng.random(d))
+            for seed in (0, 1, 12345):
+                freq = simulate_protocol(kind, spec0, spec1, sched, 3000, seed)
+                assert freq == sample_indexed(kind, spec0, spec1, sched, 3000, seed)
 
 
 def test_simulation_identical_channels_near_half():
