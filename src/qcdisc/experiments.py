@@ -482,6 +482,16 @@ def _suite_oneshot(seed: int) -> list[CheckResult]:
     return checks
 
 
+# Schedules on the edge of the box where the one-shot rule meets an exact
+# tie, each with the schedule moved 1e-9 inside: (family, eta0, eta1, edge,
+# inside). At the first, lam0 = 0 and measuring ties with always guessing 1;
+# at the second, lam1 = 0 and measuring ties with always guessing 0.
+_EDGE_TIES = (
+    (ChannelFamily.BIT_FLIP, 0.793, 0.207, (1.0, 1.0, 0.0), (1 - 1e-9, 1 - 1e-9, 1e-9)),
+    (ChannelFamily.BIT_FLIP, 6 / 7, 1 / 7, (0.0, 0.9, 0.0), (1e-9, 0.9, 1e-9)),
+)
+
+
 def _suite_reductions(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst_one = 0.0
@@ -501,9 +511,31 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
                 - strategy_value("markovian", spec0, spec1, r2)
             ),
         )
+    # Bayesian <= global on shared schedules, with box-edge entries mixed in.
+    worst_order = 0.0
+    for i in range(30):
+        spec0, spec1 = _random_spec_pair(rng, list(ChannelFamily)[i % 3])
+        r = rng.random(2 + i % 3)
+        r[rng.random(r.size) < 0.3] = rng.choice([0.0, 1.0])
+        sched = InputSchedule.flat(r)
+        worst_order = max(
+            worst_order,
+            strategy_value("bayesian", spec0, spec1, sched)
+            - strategy_value("global", spec0, spec1, sched),
+        )
+    worst_edge = 0.0
+    for family, eta0, eta1, edge, inside in _EDGE_TIES:
+        spec0, spec1 = ChannelSpec(family, eta0), ChannelSpec(family, eta1)
+        for kind in ("bayesian", "markovian"):
+            gap = strategy_value(kind, spec0, spec1, InputSchedule.flat(edge)) - strategy_value(
+                kind, spec0, spec1, InputSchedule.flat(inside)
+            )
+            worst_edge = max(worst_edge, abs(gap))
     return [
         CheckResult("reductions/one-shot", worst_one, 1e-12),
         CheckResult("reductions/two-shot-bayes-markov", worst_two, 1e-12),
+        CheckResult("reductions/bayesian-below-global", worst_order, 1e-12),
+        CheckResult("reductions/box-edge-ties", worst_edge, 1e-6),
     ]
 
 

@@ -11,12 +11,14 @@ projective or one of the trivial pairs {I, 0} / {0, I}:
 * lam0 <= 0 and p0 <= 1/2:        always guess 1, success 1 - p0;
 * lam0 <= 0 and p0 > 1/2:         always guess 0, success p0.
 
-At lam0 = 0 with p0 <= 1/2 the projector and "always guess 1" tie on the
-one-shot success 1 - p0, and the sign of a rounding residue in lam0 would
-pick between them. The projector is kept on such a tie (lam0 within
-:data:`TIE_TOL` of zero) unless the difference operator itself vanishes:
-it is the limit of the optimal measurement for inputs that move off the
-tie, and unlike the trivial POVM it leaves information for later shots.
+The projector ties with a trivial POVM on two boundaries: at lam0 = 0 with
+"always guess 1" (both succeed with 1 - p0), and at lam1 = 0, that is
+2*p0 = 1 + lam0, with "always guess 0" (both succeed with p0). On either,
+the sign of a rounding residue would pick the measurement. The projector
+is kept on both ties (lam0, or 2*p0 - 1 - lam0, within :data:`TIE_TOL` of
+zero) unless the difference operator itself vanishes: it is the limit of
+the optimal measurement for inputs that move off the tie, and unlike a
+trivial POVM it leaves information for later shots.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ __all__ = [
     "success_and_traces",
 ]
 
-# Tolerance of the one-shot tie rule: |lam0| and the size of the difference
-# operator below it count as zero.
+# Tolerance of the one-shot tie rule: |lam0|, |lam1| and the size of the
+# difference operator below it count as zero.
 TIE_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
@@ -108,7 +110,7 @@ def success_and_traces(p0: float, s0, s1):
     informative = lam0 > 0.0 or (
         lam0 > -TIE_TOL and abs(da) + abs(db) + abs(dc) > TIE_TOL
     )
-    if informative and 2.0 * p0 <= 1.0 + lam0:
+    if informative and 2.0 * p0 <= 1.0 + lam0 + TIE_TOL:
         x, y = v0
         xc = x.conjugate()
         yc = y.conjugate()
@@ -136,7 +138,7 @@ def _traces_batch(p0, s0, s1):
     absq = np.abs(dc)
     lam0 = 0.5 * (da + db) + np.hypot(half_diff, absq)
     tie = (lam0 > -TIE_TOL) & (np.abs(da) + np.abs(db) + absq > TIE_TOL)
-    projective = ((lam0 > 0.0) | tie) & (2.0 * p0 <= 1.0 + lam0)
+    projective = ((lam0 > 0.0) | tie) & (2.0 * p0 <= 1.0 + lam0 + TIE_TOL)
     trivial = (lam0 > 0.0) | (p0 > 0.5)
     upper = half_diff >= 0.0
     x = np.where(upper, lam0 - db, dc)

@@ -20,6 +20,15 @@ its nodes, and :func:`simulate_protocol` samples outcomes from its traces.
 :func:`values` computes the success probability of many real (phi = 0)
 schedules and channel pairs at once, level by level; the input optimizer
 calls it.
+
+The feedforward values are continuous across the exact ties of the one-shot
+rule (see :mod:`helstrom`), but not where a node's lam0 changes sign off a
+tie: on one side the node measures and informs later shots, on the other
+it guesses. This is a jump of the greedy rule itself. For bit-flip
+(0.75, 0.4) at r = (r1, 0, 1, 0), the Markovian value rises continuously to
+0.733659 as r1 approaches r1* = 0.9748603..., where lam0 at the node (shot
+3, last outcome 1) crosses zero, and reads 0.69553 just past it. An
+optimizer that reaches r1* reports the upper side of the jump.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_density, random_spec_pair
-from qcdisc.channels import output_entries
+from qcdisc.channels import ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import (
+    TIE_TOL,
     PovmCase,
     WeightedPair,
     brute_force_povm,
@@ -77,6 +78,24 @@ def test_exact_tie_keeps_the_projector():
     # a rounding residue below zero is a tie too
     case, *_ = success_and_traces(0.4, (0.6, 0.4 + 1e-17, 0.0j), s1)
     assert case is PovmCase.PROJECTIVE
+
+
+def test_mirror_tie_keeps_the_projector():
+    # Bit-flip outputs of r = 0.9 at eta 6/7 and 1/7, weighted 6/7 : 1/7.
+    # lam1 = 2 p0 - 1 - lam0 is exactly 0 and rounds to +1.1e-16: measuring
+    # and always guessing 0 tie at p0, and only the measurement informs
+    # later shots.
+    s0 = output_entries(ChannelSpec(ChannelFamily.BIT_FLIP, 6 / 7), 0.9)
+    s1 = output_entries(ChannelSpec(ChannelFamily.BIT_FLIP, 1 / 7), 0.9)
+    p0 = 6 / 7
+    case, p_succ, _, _, lam0, _, _ = success_and_traces(p0, s0, s1)
+    assert 0.0 < 2.0 * p0 - 1.0 - lam0 <= TIE_TOL
+    assert case is PovmCase.PROJECTIVE
+    assert abs(p_succ - p0) < 1e-15
+    # off the tie, with both eigenvalues clearly positive, it guesses 0
+    case, p_succ, *_ = success_and_traces(0.9, s0, s1)
+    assert case is PovmCase.ALWAYS_GUESS_0
+    assert p_succ == 0.9
 
 
 def test_real_off_diagonal_matches_complex(rng):

@@ -242,6 +242,23 @@ def test_bayesian_continuous_at_box_edge():
     assert pb <= global_value(spec0, spec1, edge) + 1e-12
 
 
+def test_continuous_at_box_edge_on_the_mirror_tie():
+    # At r = (0, 0.9, 0) the node (shot 2, last outcome 0) has p0 = 6/7 and
+    # lam1 = 0 exactly: measuring ties with always guessing 0. The values at
+    # the edge must be the limits from inside the box, for both walks and
+    # the batched ones, and the Bayesian one must stay below the global one.
+    family = ChannelFamily.BIT_FLIP
+    spec0, spec1 = ChannelSpec(family, 6 / 7), ChannelSpec(family, 1 / 7)
+    edge, inside = (0.0, 0.9, 0.0), (1e-9, 0.9, 1e-9)
+    for kind, value in (("bayesian", bayesian_value), ("markovian", markovian_value)):
+        want = value(spec0, spec1, InputSchedule.flat(inside))
+        assert abs(value(spec0, spec1, InputSchedule.flat(edge)) - want) <= 1e-6, kind
+        batched = values(kind, family, [6 / 7], [1 / 7], [edge])[0]
+        assert abs(batched - want) <= 1e-6, kind
+    sched = InputSchedule.flat(edge)
+    assert bayesian_value(spec0, spec1, sched) <= global_value(spec0, spec1, sched) + 1e-12
+
+
 def test_pure_outputs_all_strategies_agree(rng):
     # Bit-flip at eta = 1 and eta = 0 keeps a pure input pure. For pure
     # outputs the greedy Bayesian strategy attains the collective optimum
