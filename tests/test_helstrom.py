@@ -101,28 +101,31 @@ def test_mirror_tie_keeps_the_projector():
 def test_real_off_diagonal_matches_complex(rng):
     # Outputs of phi = 0 inputs carry a float off-diagonal; the kernel must
     # return exactly what it returns for the same entry as a complex number.
-    def pair(s0, s1):
-        return [(s0, s1), ((s0[0], s0[1], complex(s0[2])), (s1[0], s1[1], complex(s1[2])))]
+    def as_complex(s):
+        return s[0], s[1], complex(s[2])
 
-    cases = []
+    bit_flip = ChannelFamily.BIT_FLIP
+    cases = [
+        # c = 0 and a subnormal c
+        (0.3, (0.7, 0.3, 0.0), (0.2, 0.8, 0.0)),
+        (0.3, (0.7, 0.3, 5e-322), (0.2, 0.8, -5e-322)),
+        # lam0 = 0: the projector ties with always guessing 1
+        (0.4, (0.6, 0.4, 0.0), (0.4, 0.6, 0.0)),
+        # lam1 = 0: the projector ties with always guessing 0, exactly and
+        # with a rounding residue
+        (0.6, (0.6, 0.4, 0.0), (0.4, 0.6, 0.0)),
+        (6 / 7, output_entries(ChannelSpec(bit_flip, 6 / 7), 0.9),
+         output_entries(ChannelSpec(bit_flip, 1 / 7), 0.9)),
+    ]
     for _ in range(400):
         spec0, spec1 = random_spec_pair(rng, FAMILIES[rng.integers(0, 3)])
         r = float(rng.choice([rng.random(), 0.0, 1.0, 5e-322]))
         p0 = float(rng.choice([rng.random(), 0.0, 0.5, 1.0]))
         cases.append((p0, output_entries(spec0, r), output_entries(spec1, r)))
-    # c = 0 and a subnormal c, directly
-    cases.append((0.3, (0.7, 0.3, 0.0), (0.2, 0.8, 0.0)))
-    cases.append((0.3, (0.7, 0.3, 5e-322), (0.2, 0.8, -5e-322)))
-    # lam0 = 0: the projector ties with always guessing 1; lam1 = 0: the
-    # projector ties with always guessing 0.
-    cases.append((0.4, (0.6, 0.4, 0.0), (0.4, 0.6, 0.0)))
-    cases.append((0.6, (0.6, 0.4, 0.0), (0.4, 0.6, 0.0)))
-    # the node of a bit-flip pair (6/7, 1/7) where lam1 = 0
-    cases.append((6 / 7, (1 / 7, 6 / 7, 0.0), (6 / 7, 1 / 7, 0.0)))
     for p0, s0, s1 in cases:
-        (r0, r1), (c0, c1) = pair(s0, s1)
-        assert isinstance(r0[2], float)
-        assert success_and_traces(p0, r0, r1) == success_and_traces(p0, c0, c1), (p0, s0, s1)
+        assert isinstance(s0[2], float) and isinstance(s1[2], float)
+        want = success_and_traces(p0, as_complex(s0), as_complex(s1))
+        assert success_and_traces(p0, s0, s1) == want, (p0, s0, s1)
 
 
 def test_lambda_trace_identity(rng):
