@@ -494,48 +494,46 @@ _EDGE_TIES = (
 
 def _suite_reductions(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    worst_one = 0.0
-    worst_two = 0.0
+    worst_one = worst_two = 0.0
     for i in range(20):
-        family = list(ChannelFamily)[i % 3]
-        spec0, spec1 = _random_spec_pair(rng, family)
+        pair = _random_spec_pair(rng, list(ChannelFamily)[i % 3])
         r1 = InputSchedule.flat([rng.random()])
-        ref = strategy_value("markovian", spec0, spec1, r1)
+        ref = strategy_value("markovian", *pair, r1)
         for kind in VALID_STRATEGIES:
-            worst_one = max(worst_one, abs(strategy_value(kind, spec0, spec1, r1) - ref))
+            worst_one = max(worst_one, abs(strategy_value(kind, *pair, r1) - ref))
         r2 = InputSchedule.flat(rng.random(2))
-        worst_two = max(
-            worst_two,
-            abs(
-                strategy_value("bayesian", spec0, spec1, r2)
-                - strategy_value("markovian", spec0, spec1, r2)
-            ),
-        )
+        gap = strategy_value("bayesian", *pair, r2) - strategy_value("markovian", *pair, r2)
+        worst_two = max(worst_two, abs(gap))
     # Bayesian <= global on shared schedules, with box-edge entries mixed in.
     worst_order = 0.0
     for i in range(30):
-        spec0, spec1 = _random_spec_pair(rng, list(ChannelFamily)[i % 3])
+        pair = _random_spec_pair(rng, list(ChannelFamily)[i % 3])
         r = rng.random(2 + i % 3)
         r[rng.random(r.size) < 0.3] = rng.choice([0.0, 1.0])
         sched = InputSchedule.flat(r)
-        worst_order = max(
-            worst_order,
-            strategy_value("bayesian", spec0, spec1, sched)
-            - strategy_value("global", spec0, spec1, sched),
-        )
+        gap = strategy_value("bayesian", *pair, sched) - strategy_value("global", *pair, sched)
+        worst_order = max(worst_order, gap)
     worst_edge = 0.0
     for family, eta0, eta1, edge, inside in _EDGE_TIES:
-        spec0, spec1 = ChannelSpec(family, eta0), ChannelSpec(family, eta1)
+        pair = ChannelSpec(family, eta0), ChannelSpec(family, eta1)
         for kind in ("bayesian", "markovian"):
-            gap = strategy_value(kind, spec0, spec1, InputSchedule.flat(edge)) - strategy_value(
-                kind, spec0, spec1, InputSchedule.flat(inside)
-            )
+            gap = strategy_value(kind, *pair, InputSchedule.flat(edge))
+            gap -= strategy_value(kind, *pair, InputSchedule.flat(inside))
             worst_edge = max(worst_edge, abs(gap))
+    # Pure outputs X|psi> and |psi>: local feedforward attains the global value.
+    pair = ChannelSpec(ChannelFamily.BIT_FLIP, 1.0), ChannelSpec(ChannelFamily.BIT_FLIP, 0.0)
+    worst_pure = 0.0
+    for i in range(20):
+        sched = InputSchedule.flat(rng.random(1 + i % 6))
+        ref = strategy_value("global", *pair, sched)
+        for kind in ("bayesian", "markovian"):
+            worst_pure = max(worst_pure, abs(strategy_value(kind, *pair, sched) - ref))
     return [
         CheckResult("reductions/one-shot", worst_one, 1e-12),
         CheckResult("reductions/two-shot-bayes-markov", worst_two, 1e-12),
         CheckResult("reductions/bayesian-below-global", worst_order, 1e-12),
         CheckResult("reductions/box-edge-ties", worst_edge, 1e-6),
+        CheckResult("reductions/pure-outputs", worst_pure, 1e-12),
     ]
 
 

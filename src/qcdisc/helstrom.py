@@ -19,6 +19,16 @@ is kept on both ties (lam0, or 2*p0 - 1 - lam0, within :data:`TIE_TOL` of
 zero) unless the difference operator itself vanishes: it is the limit of
 the optimal measurement for inputs that move off the tie, and unlike a
 trivial POVM it leaves information for later shots.
+
+The batched kernel works in the Bloch picture of real states. With
+z_c = (rho00 - rho11)/2, x_c = rho01, and hd = (da - db)/2 and dc from the
+entries of the difference operator, lam0, lam1 = (2*p0 - 1)/2 +- h with
+h = hypot(hd, dc), and the projector has t_c = Tr(rho_c pi0) =
+1/2 + (z_c*hd + x_c*dc)/h, or t_c = rho00 (e0, as the scalar kernel) where
+h = 0. This scales with the weights, which it takes unnormalized (l0, l1);
+a last shot yields only its success, l1 + lam0 on the projector and
+max(l0, l1) otherwise. Both kernels clamp traces into [0, 1], so 1 - t
+never leaves a negative weight after rounding.
 """
 
 from __future__ import annotations
@@ -118,44 +128,48 @@ def success_and_traces(p0: float, s0, s1):
         yy = (y * yc).real
         t0 = xx * s0[0] + yy * s0[1] + 2.0 * (xc * s0[2] * y).real
         t1 = xx * s1[0] + yy * s1[1] + 2.0 * (xc * s1[2] * y).real
+        if not 0.0 <= t0 <= 1.0:
+            t0 = 0.0 if t0 < 0.0 else 1.0
+        if not 0.0 <= t1 <= 1.0:
+            t1 = 0.0 if t1 < 0.0 else 1.0
         return PovmCase.PROJECTIVE, lam0 + 1.0 - p0, t0, t1, lam0, lam1, v0
     if lam0 > 0.0 or p0 > 0.5:
         return PovmCase.ALWAYS_GUESS_0, p0, 1.0, 1.0, lam0, lam1, None
     return PovmCase.ALWAYS_GUESS_1, 1.0 - p0, 0.0, 0.0, lam0, lam1, None
 
 
-def _traces_batch(p0, s0, s1):
-    """Traces (t0, t1) of the optimal one-shot measurement, elementwise.
+def _shot_batch(w, z, x, last):
+    """One shot of the optimal measurement at many nodes, elementwise.
 
-    The real-arithmetic twin of :func:`success_and_traces`: the same case
-    split, tie rule and eigenvector branch, so a zero norm cannot occur.
+    The array twin of :func:`success_and_traces` in the Bloch picture above.
+    ``w`` stacks the weights of hypotheses 0 and 1, ``z`` and ``x`` those of
+    the two channels, all broadcasting. Returns the traces stacked like
+    ``w``, or with ``last`` each node's success weight (0 without weight).
     """
-    p1 = 1.0 - p0
-    da = p0 * s0[0] - p1 * s1[0]
-    db = p0 * s0[1] - p1 * s1[1]
-    dc = p0 * s0[2] - p1 * s1[2]
-    half_diff = 0.5 * (da - db)
-    absq = np.abs(dc)
-    lam0 = 0.5 * (da + db) + np.hypot(half_diff, absq)
-    tie = (lam0 > -TIE_TOL) & (np.abs(da) + np.abs(db) + absq > TIE_TOL)
-    projective = ((lam0 > 0.0) | tie) & (2.0 * p0 <= 1.0 + lam0 + TIE_TOL)
-    trivial = (lam0 > 0.0) | (p0 > 0.5)
-    upper = half_diff >= 0.0
-    x = np.where(upper, lam0 - db, dc)
-    y = np.where(upper, dc, lam0 - da)
-    diagonal = absq == 0.0
-    if diagonal.any():
-        first = (da >= db)[diagonal]
-        x[diagonal] = first
-        y[diagonal] = ~first
-    norm = np.hypot(x, y)
-    x /= norm
-    y /= norm
-    xx = x * x
-    yy = y * y
-    t0 = np.where(projective, xx * s0[0] + yy * s0[1] + 2.0 * (x * s0[2] * y), trivial)
-    t1 = np.where(projective, xx * s1[0] + yy * s1[1] + 2.0 * (x * s1[2] * y), trivial)
-    return t0, t1
+    w0, w1 = w[0], w[1]
+    wz = w * z
+    wx = w * x
+    hd = wz[0] - wz[1]
+    dc = wx[0] - wx[1]
+    h = np.hypot(hd, dc)
+    g = 0.5 * (w0 - w1)
+    lam0 = g + h
+    ntol = (w0 + w1) * -TIE_TOL  # -TIE_TOL at the scale of the weights
+    projective = (lam0 > ntol) & (h - g >= ntol)  # and lam1 = g - h <= tol
+    edge = projective & (lam0 <= 0.0)
+    if np.count_nonzero(edge):
+        # |da| + |db| + |dc|, with |da| + |db| = max(|da + db|, |da - db|).
+        size = np.maximum(np.abs(w0 - w1), 2.0 * np.abs(hd)) + np.abs(dc)
+        projective[edge] = (size > -ntol)[edge]
+    if last:
+        # Off the projector lam0 > 0 exactly where w0 > w1.
+        return np.where(projective, w1 + lam0, np.maximum(w0, w1))
+    flat = h == 0.0
+    if np.count_nonzero(flat):
+        hd[flat] = 1.0  # e0, so t = 1/2 + z = rho00
+        h[flat] = 1.0
+    t = np.minimum(np.maximum(0.5 + (z * hd + x * dc) / h, 0.0), 1.0)
+    return np.where(projective, t, lam0 > 0.0)
 
 
 def delta_op(w: WeightedPair) -> np.ndarray:

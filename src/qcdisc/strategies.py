@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ETA_MAX, ChannelFamily, ChannelSpec, _entries_batch, output_entries
-from .helstrom import Povm, PovmCase, _build_povm, _traces_batch, success_and_traces
+from .helstrom import Povm, PovmCase, _build_povm, _shot_batch, success_and_traces
 
 __all__ = [
     "BAYES_SHOT_CAP",
@@ -413,11 +413,12 @@ def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarr
     ``(eta0[i], eta1[i])`` of ``family``: one r per shot in flat ``mode``,
     otherwise the adaptive levels concatenated (1, 2, 4, ... values for the
     Bayesian strategy, 1, 2, 2, ... for the Markovian). The Bayesian and
-    Markovian walks run level by level over all rows and all nodes of a
-    level; they agree with :func:`bayesian_value` and
-    :func:`markovian_value` to rounding, and a row's value does not depend
-    on the other rows. The global strategy calls :func:`global_value` per
-    row, since its cost is the eigensolve.
+    Markovian walks run level by level over all rows and nodes: every
+    output is built once, the one-shot kernel of :mod:`helstrom` takes
+    unnormalized weights, and the last shot yields only its success. They
+    agree with :func:`bayesian_value` and :func:`markovian_value` to 1e-14,
+    not bit for bit, and a row's value does not depend on the other rows.
+    The global strategy calls :func:`global_value` per row.
     """
     kind = StrategyKind(kind)
     family = ChannelFamily(family)
@@ -431,10 +432,11 @@ def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarr
             f"expected (rows, d) schedules and (rows,) etas, got {r_rows.shape}, "
             f"{eta0.shape} and {eta1.shape}"
         )
-    if not np.all((r_rows >= 0.0) & (r_rows <= 1.0)):
+    if not ((r_rows >= 0.0) & (r_rows <= 1.0)).all():
         raise ScheduleError("r must be in [0, 1]")
+    eta = np.array((eta0, eta1))
     hi = ETA_MAX[family]
-    if not np.all((eta0 >= 0.0) & (eta0 <= hi) & (eta1 >= 0.0) & (eta1 <= hi)):
+    if not ((eta >= 0.0) & (eta <= hi)).all():
         raise ValueError(f"eta out of range [0, {hi:.6g}] for {family.value}")
     if kind is StrategyKind.GLOBAL:
         if mode is not ScheduleMode.FLAT:
@@ -443,38 +445,25 @@ def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarr
             global_value(ChannelSpec(family, e0), ChannelSpec(family, e1), InputSchedule.flat(r))
             for e0, e1, r in zip(eta0, eta1, r_rows)
         ])
+    bayes = kind is StrategyKind.BAYESIAN
     levels = _level_columns(kind, mode, r_rows.shape[1])
-    if kind is StrategyKind.BAYESIAN and len(levels) > BAYES_SHOT_CAP:
-        raise ValueError(
-            f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {len(levels)}"
-        )
-    eta0 = eta0[:, None]
-    eta1 = eta1[:, None]
-    # Hypothesis weights of the nodes of a level: one node per outcome
-    # history for the Bayesian strategy, per last outcome for the Markovian.
-    l0 = l1 = np.ones((rows, 1))
-    for k, cols in enumerate(levels):
-        if k:
-            out0 = (l0 * t0, l0 * (1.0 - t0))
-            out1 = (l1 * t1, l1 * (1.0 - t1))
-            if kind is StrategyKind.BAYESIAN:
-                l0 = np.stack(out0, axis=2).reshape(rows, 2 * t0.shape[1])
-                l1 = np.stack(out1, axis=2).reshape(rows, 2 * t1.shape[1])
-            else:
-                l0 = np.stack([w.sum(axis=1) for w in out0], axis=1)
-                l1 = np.stack([w.sum(axis=1) for w in out1], axis=1)
-        tot = l0 + l1
-        dead = tot <= 0.0
-        if dead.any():
-            # A node without weight is unreachable and contributes nothing.
-            l0 = np.where(dead, 0.0, l0)
-            l1 = np.where(dead, 0.0, l1)
-            tot[dead] = 1.0
-        r = r_rows[:, cols]
-        t0, t1 = _traces_batch(
-            l0 / tot, _entries_batch(family, eta0, r), _entries_batch(family, eta1, r)
-        )
-    return 0.5 * (l0 * t0 + l1 * (1.0 - t1)).sum(axis=1)
+    if bayes and len(levels) > BAYES_SHOT_CAP:
+        raise ValueError(f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {len(levels)}")
+    # Arrays are (channel, node or column, row), rows last for long numpy
+    # loops; a node per outcome history (Bayesian) or last outcome (Markovian).
+    rho00, rho11, x = _entries_batch(family, eta[:, None, :], r_rows.T)
+    z = 0.5 * (rho00 - rho11)
+    w = np.ones((2, 1, 1))
+    for cols in levels[:-1]:
+        wt = w * _shot_batch(w, z[:, cols], x[:, cols], False)
+        # Node i's children by outcome, 2i and 2i + 1, or merged by outcome.
+        w = np.concatenate((wt[:, :, None], (w - wt)[:, :, None]), axis=2)
+        merge = not bayes and wt.shape[1] == 2
+        w = w[:, 0] + w[:, 1] if merge else w.reshape(2, 2 * wt.shape[1], rows)
+    p = _shot_batch(w, z[:, levels[-1]], x[:, levels[-1]], True)
+    while len(p) > 1:  # pairwise over the nodes, alike in every batch
+        p = p[0::2] + p[1::2]
+    return 0.5 * p[0]
 
 
 # ---------------------------------------------------------------------------

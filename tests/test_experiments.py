@@ -262,6 +262,7 @@ def test_sweep_rows_round_trip():
 def test_validate_reductions_pass():
     checks = run_validate("strategy-reductions", seed=0)
     assert checks and all(c.passed for c in checks)
+    assert "reductions/pure-outputs" in {c.name for c in checks}
 
 
 def test_validate_povm_properties_pass():

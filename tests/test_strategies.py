@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_spec_pair
-from qcdisc.channels import ChannelFamily, ChannelSpec, InputState, apply, output_entries, pure_state
+from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, InputState, apply, output_entries, pure_state
 from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
 from qcdisc.linalg import eigen_hermitian, tensor
 from qcdisc.strategies import (
@@ -297,6 +297,21 @@ def test_posteriors_and_tree_shape(rng):
     assert all(0.0 <= p <= 1.0 for p in evm.posteriors.values())
 
 
+def test_posteriors_in_unit_interval_for_perfect_discrimination(rng):
+    # Bit-flip at eta 1 and 0 maps r = 1 to orthogonal outputs. A trace that
+    # rounds past 1 there would leave 1 - t a negative weight.
+    spec0 = ChannelSpec(ChannelFamily.BIT_FLIP, 1.0)
+    spec1 = ChannelSpec(ChannelFamily.BIT_FLIP, 0.0)
+    for _ in range(1000):
+        r = rng.random(8)
+        r[rng.random(8) < 0.3] = 1.0
+        sched = InputSchedule.flat(r)
+        for ev in (eval_bayesian(spec0, spec1, sched), eval_markovian(spec0, spec1, sched)):
+            assert all(0.0 <= p <= 1.0 for p in ev.posteriors.values())
+            if (r == 1.0).any():
+                assert abs(ev.p_succ - 1.0) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -435,6 +450,7 @@ def random_rows(rng, kind, mode, shots, rows):
     r_rows[1] = 1.0
     r_rows[2, 0] = 5e-322
     r_rows[3] = rng.choice([0.0, 1.0, 5e-322, 0.5], size=d)
+    r_rows[4] = rng.choice([0.0, 1.0], size=d)
     return r_rows
 
 
@@ -454,12 +470,18 @@ def schedule_of_row(kind, mode, row):
 @pytest.mark.parametrize("kind", ["bayesian", "markovian"])
 @pytest.mark.parametrize("mode", ["flat", "adaptive"])
 def test_batched_values_match_scalar(rng, family, kind, mode):
-    for shots in (1, 2, 3, 5):
+    hi = ETA_MAX[family]
+    for shots in (1, 2, 3, 5, 8):
         pairs = [random_spec_pair(rng, family) for _ in range(12)]
+        # eta at the ends of its range
+        pairs[5] = ChannelSpec(family, hi), ChannelSpec(family, 0.0)
+        pairs[6] = ChannelSpec(family, hi), pairs[6][1]
+        pairs[7] = pairs[7][0], ChannelSpec(family, 0.0)
         eta0 = np.array([s0.eta for s0, _ in pairs])
         eta1 = np.array([s1.eta for _, s1 in pairs])
         r_rows = random_rows(rng, kind, mode, shots, len(pairs))
-        got = values(kind, family, eta0, eta1, r_rows, mode)
+        with np.errstate(divide="raise", invalid="raise"):  # no 0/0 where h = 0
+            got = values(kind, family, eta0, eta1, r_rows, mode)
         for (s0, s1), row, value in zip(pairs, r_rows, got):
             want = strategy_value(kind, s0, s1, schedule_of_row(kind, mode, row))
             assert abs(value - want) <= 1e-14
@@ -473,6 +495,7 @@ def test_batched_global_loops_scalar(rng):
 
 
 @pytest.mark.parametrize("kind,mode,shots", [
+    ("markovian", "flat", 3),
     ("bayesian", "flat", 4),
     ("bayesian", "adaptive", 4),
     ("markovian", "adaptive", 5),
