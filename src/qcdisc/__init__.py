@@ -1,10 +1,9 @@
 """Discrimination of two qubit channels with multi-shot measurement strategies."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .channels import ChannelFamily, ChannelSpec, InputState, apply, pure_state
+from .channels import ChannelFamily, ChannelSpec
 from .helstrom import HelstromResult, Povm, PovmCase, WeightedPair, optimal_povm
-from .linalg import HermitianEigen, eigen_hermitian
 from .optimizer import BoxDomain, OptResult, OptimizerConfig, maximize
 from .strategies import (
     InputSchedule,
@@ -21,9 +20,7 @@ __all__ = [
     "ChannelFamily",
     "ChannelSpec",
     "HelstromResult",
-    "HermitianEigen",
     "InputSchedule",
-    "InputState",
     "OptResult",
     "OptimizerConfig",
     "Povm",
@@ -31,13 +28,10 @@ __all__ = [
     "StrategyEval",
     "StrategyKind",
     "WeightedPair",
-    "apply",
-    "eigen_hermitian",
     "eval_bayesian",
     "eval_global",
     "eval_markovian",
     "maximize",
     "optimal_povm",
-    "pure_state",
     "simulate_protocol",
 ]

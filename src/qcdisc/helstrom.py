@@ -39,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig2_entries
-
 __all__ = [
     "HelstromResult",
     "Povm",
@@ -101,6 +99,40 @@ class HelstromResult:
 
 def _entries(rho: np.ndarray):
     return rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1])
+
+
+def eig2_entries(app: float, aqq: float, apq):
+    """Closed-form eigensystem of ``[[app, apq], [conj(apq), aqq]]``.
+
+    Returns ``(lam0, lam1, v0, v1)`` with lam0 >= lam1 and the eigenvectors
+    as (component, component) tuples, normalized. One kernel serves both
+    kinds of off-diagonal: ``apq`` is a float for every channel output and
+    may be complex for a general state passed to :func:`optimal_povm`.
+    """
+    half_tr = 0.5 * (app + aqq)
+    half_diff = 0.5 * (app - aqq)
+    absq = abs(apq)
+    radius = math.hypot(half_diff, absq)
+    lam0 = half_tr + radius
+    lam1 = half_tr - radius
+    if absq == 0.0:
+        if app >= aqq:
+            return lam0, lam1, (1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)
+        return lam0, lam1, (0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 0.0j)
+    # Pick the better-conditioned eigenvector expression for lam0; the
+    # discarded one degenerates when lam0 approaches the matching diagonal.
+    if half_diff >= 0.0:
+        u, w = lam0 - aqq, apq.conjugate()
+    else:
+        u, w = apq, lam0 - app
+    # hypot of the moduli: squaring them underflows to a zero norm once the
+    # off-diagonal entry is below about 1e-154.
+    norm = math.hypot(abs(u), abs(w))
+    u /= norm
+    w /= norm
+    v0 = (u, w)
+    v1 = (-w.conjugate(), u.conjugate())
+    return lam0, lam1, v0, v1
 
 
 def success_and_traces(p0: float, s0, s1):

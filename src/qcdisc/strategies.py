@@ -17,9 +17,8 @@ that returns the success probability and the nodes it reaches, each with
 its posterior, measurement and traces ``Tr(rho_c pi0)``. ``*_value`` return
 the walk's success probability, ``eval_*`` the measurement tree built from
 its nodes, and :func:`simulate_protocol` samples outcomes from its traces.
-:func:`values` computes the success probability of many real (phi = 0)
-schedules and channel pairs at once, level by level; the input optimizer
-calls it.
+:func:`values` computes the success probability of many schedules and
+channel pairs at once, level by level; the input optimizer calls it.
 
 The feedforward values are continuous across the exact ties of the one-shot
 rule (see :mod:`helstrom`), but not where a node's lam0 changes sign off a
@@ -86,25 +85,23 @@ class InputSchedule:
     outcome-history node: level k (0-based) holds the values for shot k+1,
     either 2^k entries (full history tree, consumed by the Bayesian
     strategy) or a single entry at level 0 and two per later level (last
-    outcome only, consumed by the Markovian strategy). The phase is one
-    shared value, zero by default.
+    outcome only, consumed by the Markovian strategy).
     """
 
     mode: ScheduleMode
     levels: tuple
-    phi: float = 0.0
 
     @classmethod
-    def flat(cls, r_values, phi: float = 0.0) -> "InputSchedule":
+    def flat(cls, r_values) -> "InputSchedule":
         vals = tuple(float(r) for r in r_values)
         if not vals:
             raise ScheduleError("schedule needs at least one shot")
         for r in vals:
             _check_r(r)
-        return cls(ScheduleMode.FLAT, vals, phi)
+        return cls(ScheduleMode.FLAT, vals)
 
     @classmethod
-    def adaptive(cls, levels, phi: float = 0.0) -> "InputSchedule":
+    def adaptive(cls, levels) -> "InputSchedule":
         lv = tuple(tuple(float(r) for r in level) for level in levels)
         if not lv:
             raise ScheduleError("schedule needs at least one shot")
@@ -113,7 +110,7 @@ class InputSchedule:
         for level in lv:
             for r in level:
                 _check_r(r)
-        return cls(ScheduleMode.ADAPTIVE, lv, phi)
+        return cls(ScheduleMode.ADAPTIVE, lv)
 
     @property
     def shots(self) -> int:
@@ -163,15 +160,12 @@ def _check_schedule(sched: InputSchedule, kind: StrategyKind):
 
 
 def _matrix(s) -> np.ndarray:
-    """The 2x2 matrix of entries ``s``: real when the off-diagonal is a float."""
-    return np.array([[s[0], s[2]], [s[2].conjugate(), s[1]]])
+    """The real symmetric 2x2 matrix of entries ``s``."""
+    return np.array([[s[0], s[2]], [s[2], s[1]]])
 
 
 def _flat_pairs(eta0, eta1, sched):
-    return [
-        (output_entries(eta0, r, sched.phi), output_entries(eta1, r, sched.phi))
-        for r in sched.levels
-    ]
+    return [(output_entries(eta0, r), output_entries(eta1, r)) for r in sched.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,6 @@ def _kron_chain(mats):
 
 def _global_products(eta0, eta1, sched):
     pairs = _flat_pairs(eta0, eta1, sched)
-    # phi = 0 keeps every entry real; the real eigensolver is much faster.
     r0 = _kron_chain([_matrix(s0) for s0, _ in pairs])
     r1 = _kron_chain([_matrix(s1) for _, s1 in pairs])
     return r0, r1
@@ -264,7 +257,7 @@ def _node_pair(eta0, eta1, sched, pairs, k: int, i: int):
     if pairs is not None:
         return pairs[k]
     r = sched.levels[k][i]
-    return output_entries(eta0, r, sched.phi), output_entries(eta1, r, sched.phi)
+    return output_entries(eta0, r), output_entries(eta1, r)
 
 
 def _bayesian_walk(eta0, eta1, sched):
@@ -407,7 +400,7 @@ def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
 
 
 def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarray:
-    """Success probabilities of many phi = 0 schedules at once.
+    """Success probabilities of many schedules at once.
 
     Row i of ``r_rows`` is a schedule for the channel pair
     ``(eta0[i], eta1[i])`` of ``family``: one r per shot in flat ``mode``,

@@ -1,29 +1,26 @@
-"""Dense complex linear algebra for small Hermitian problems.
+"""Dense reference implementations that the tests check the package against.
 
-Everything operates on plain ``numpy`` arrays of complex128. Matrices are
-square, eigenvectors come back as columns. The eigensolver is exact at 2x2
-(closed form) and iterative above (cyclic Jacobi rotations), which is plenty
-for the matrix sizes this package deals with (at most a few hundred).
+* A complex Hermitian eigensolver: the closed-form 2x2 kernel of
+  :mod:`qcdisc.helstrom` at 2x2 and cyclic Jacobi rotations above, which
+  is plenty for the matrix sizes of the global strategy (at most a few
+  hundred). Matrices are square, eigenvectors come back as columns.
+* The channel families as Kraus maps on full density matrices, with the
+  phased pure input sqrt(1-r)|0> + e^{-i phi} sqrt(r)|1>.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ConvergenceError",
-    "HermitianEigen",
-    "NonHermitianError",
-    "adjoint",
-    "eigen_hermitian",
-    "jacobi_eigh",
-    "matmul",
-    "tensor",
-    "trace",
-]
+from qcdisc.channels import ChannelFamily, ChannelSpec
+from qcdisc.helstrom import eig2_entries
+
+# ---------------------------------------------------------------------------
+# Hermitian eigensolver
 
 # Inputs are accepted as Hermitian when ||A - A^H||_F is below this.
 HERMITIAN_TOL = 1e-10
@@ -42,30 +39,6 @@ def _require_square(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a = _require_square(a)
-    b = _require_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _require_square(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal."""
-    return complex(np.trace(_require_square(a)))
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, left factor outermost."""
-    return np.kron(_require_square(a), _require_square(b))
 
 
 @dataclass(frozen=True)
@@ -89,40 +62,6 @@ class HermitianEigen:
         """Return sum_i lambda_i |v_i><v_i|."""
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig2_entries(app: float, aqq: float, apq: complex):
-    """Closed-form eigensystem of ``[[app, apq], [conj(apq), aqq]]``.
-
-    Returns ``(lam0, lam1, v0, v1)`` with lam0 >= lam1 and the eigenvectors
-    as (component, component) tuples, normalized. This scalar kernel is
-    shared by the 2x2 path of :func:`eigen_hermitian` and by callers that
-    cannot afford array round-trips.
-    """
-    half_tr = 0.5 * (app + aqq)
-    half_diff = 0.5 * (app - aqq)
-    absq = abs(apq)
-    radius = math.hypot(half_diff, absq)
-    lam0 = half_tr + radius
-    lam1 = half_tr - radius
-    if absq == 0.0:
-        if app >= aqq:
-            return lam0, lam1, (1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)
-        return lam0, lam1, (0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 0.0j)
-    # Pick the better-conditioned eigenvector expression for lam0; the
-    # discarded one degenerates when lam0 approaches the matching diagonal.
-    if half_diff >= 0.0:
-        u, w = lam0 - aqq, apq.conjugate()
-    else:
-        u, w = apq, lam0 - app
-    # hypot of the moduli: squaring them underflows to a zero norm once the
-    # off-diagonal entry is below about 1e-154.
-    norm = math.hypot(abs(u), abs(w))
-    u /= norm
-    w /= norm
-    v0 = (u, w)
-    v1 = (-w.conjugate(), u.conjugate())
-    return lam0, lam1, v0, v1
 
 
 def _phase_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -223,3 +162,89 @@ def eigen_hermitian(a, tol: float = 1e-12, max_sweeps: int = 100) -> HermitianEi
         values = values[order]
         vectors = vectors[:, order]
     return HermitianEigen(values, _phase_fix(vectors))
+
+
+# ---------------------------------------------------------------------------
+# channels on density matrices
+
+TWO_PI = 2.0 * math.pi
+
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class InputState:
+    """Pure-state parameters: population r of |1> and relative phase phi."""
+
+    r: float
+    phi: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError(f"r must be in [0, 1], got {self.r}")
+        if not 0.0 <= self.phi < TWO_PI:
+            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
+
+
+def pure_state(s: InputState) -> np.ndarray:
+    """Density matrix |psi><psi| of the parametrized input state."""
+    amp0 = math.sqrt(1.0 - s.r)
+    amp1 = cmath.exp(-1j * s.phi) * math.sqrt(s.r)
+    ket = np.array([amp0, amp1], dtype=complex)
+    return np.outer(ket, ket.conj())
+
+
+def check_density_matrix(rho, tol: float = 1e-10) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity; return as complex array."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    if np.linalg.norm(rho - rho.conj().T) > tol:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > tol:
+        raise ValueError(f"density matrix trace {np.trace(rho):.12g} != 1")
+    half_diff = 0.5 * (rho[0, 0].real - rho[1, 1].real)
+    radius = math.hypot(half_diff, abs(rho[0, 1]))
+    if 0.5 - radius < -tol:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return rho
+
+
+def kraus_operators(c: ChannelSpec) -> list[np.ndarray]:
+    """Kraus representation {K_i} with sum K_i^H K_i = I."""
+    eta = c.eta
+    if c.family is ChannelFamily.DEPOLARIZING:
+        return [
+            math.sqrt(1.0 - 0.75 * eta) * _I2,
+            math.sqrt(0.25 * eta) * _X,
+            math.sqrt(0.25 * eta) * _Y,
+            math.sqrt(0.25 * eta) * _Z,
+        ]
+    if c.family is ChannelFamily.BIT_FLIP:
+        return [math.sqrt(1.0 - eta) * _I2, math.sqrt(eta) * _X]
+    return [
+        np.array([[1.0, 0.0], [0.0, math.cos(eta)]], dtype=complex),
+        np.array([[0.0, math.sin(eta)], [0.0, 0.0]], dtype=complex),
+    ]
+
+
+def kraus_completeness(c: ChannelSpec) -> float:
+    """Frobenius distance of sum K_i^H K_i from the identity."""
+    acc = np.zeros((2, 2), dtype=complex)
+    for k in kraus_operators(c):
+        acc += k.conj().T @ k
+    return float(np.linalg.norm(acc - _I2))
+
+
+def apply(c: ChannelSpec, rho) -> np.ndarray:
+    """Channel output for a valid input density matrix."""
+    rho = check_density_matrix(rho)
+    if c.family is ChannelFamily.DEPOLARIZING:
+        return (1.0 - c.eta) * rho + (0.5 * c.eta) * _I2
+    out = np.zeros((2, 2), dtype=complex)
+    for k in kraus_operators(c):
+        out += k @ rho @ k.conj().T
+    return out

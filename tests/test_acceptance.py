@@ -145,7 +145,7 @@ def test_criterion_4_markovian_forward_vs_enumeration():
                     if prob == 0.0:
                         break
                     key = (1, None) if k == 0 else (k + 1, hist[k - 1])
-                    s = output_entries(spec, sched.levels[k], sched.phi)
+                    s = output_entries(spec, sched.levels[k])
                     rho = np.array([[s[0], s[2]], [s[2].conjugate(), s[1]]])
                     q0, q1 = outcome_probs(rho, ev.povm_tree[key])
                     prob *= q0 if bit == 0 else q1

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILIES, random_density
-from qcdisc.channels import (
-    ETA_MAX,
-    ChannelFamily,
-    ChannelSpec,
+from conftest import FAMILIES, random_density, random_spec_pair
+from oracles import (
     InputState,
     apply,
     check_density_matrix,
     kraus_completeness,
     kraus_operators,
-    output_entries,
     pure_state,
 )
+from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
+from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
+from qcdisc.strategies import InputSchedule, global_value
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -128,12 +127,56 @@ def test_output_entries_matches_matrix_path(rng):
         family = FAMILIES[rng.integers(0, 3)]
         spec = ChannelSpec(family, float(rng.uniform(0, ETA_MAX[family])))
         r = float(rng.random())
-        phi = float(rng.uniform(0, 2 * math.pi))
-        a, b, c = output_entries(spec, r, phi)
-        ref = apply(spec, pure_state(InputState(r, phi)))
+        a, b, c = output_entries(spec, r)
+        ref = apply(spec, pure_state(InputState(r)))
         assert abs(a - ref[0, 0].real) < 1e-14
         assert abs(b - ref[1, 1].real) < 1e-14
         assert abs(c - ref[0, 1]) < 1e-14
+
+
+def real_equivalent(family, r, phi):
+    """The r' of a real input that discriminates exactly as the input (r, phi).
+
+    Depolarizing and amplitude damping commute with rotations about Z, so
+    r' = r. Bit-flip commutes with rotations about X and with Z, which take
+    the Bloch vector (x, y, z) of the input to (|x|, 0, sign(z) |(y, z)|).
+    """
+    if family is not ChannelFamily.BIT_FLIP:
+        return r
+    z = 1.0 - 2.0 * r
+    y = 2.0 * math.sqrt(r * (1.0 - r)) * math.sin(phi)
+    return 0.5 * (1.0 - math.copysign(math.hypot(y, z), z))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_input_phase_changes_no_success(family, rng):
+    # Every value the package computes takes a real input; the dense path
+    # of the oracles takes the phase, and must agree at the real
+    # equivalent, shot by shot and for the collective measurement.
+    for _ in range(40):
+        spec0, spec1 = random_spec_pair(rng, family)
+        r = rng.random(3)
+        phi = rng.uniform(0.0, 2 * math.pi, 3)
+        r_real = [real_equivalent(family, float(a), float(b)) for a, b in zip(r, phi)]
+        outs = [
+            [apply(spec, pure_state(InputState(float(a), float(b)))) for a, b in zip(r, phi)]
+            for spec in (spec0, spec1)
+        ]
+        for k in range(3):
+            phased = optimal_povm(WeightedPair(0.5, outs[0][k], outs[1][k]))
+            real = [output_entries(spec, r_real[k]) for spec in (spec0, spec1)]
+            mats = [np.array([[s[0], s[2]], [s[2], s[1]]]) for s in real]
+            ref = optimal_povm(WeightedPair(0.5, *mats))
+            assert abs(phased.p_succ - ref.p_succ) <= 1e-12
+            for c in range(2):
+                got = outcome_probs(outs[c][k], phased.povm)
+                want = outcome_probs(mats[c], ref.povm)
+                assert abs(got[0] - want[0]) <= 1e-12
+                assert abs(got[1] - want[1]) <= 1e-12
+        prods = [np.kron(np.kron(o[0], o[1]), o[2]) for o in outs]
+        vals = np.linalg.eigvalsh(0.5 * (prods[0] - prods[1]))
+        dense = 0.5 + float(vals[vals >= 0.0].sum())
+        assert abs(dense - global_value(spec0, spec1, InputSchedule.flat(r_real))) <= 1e-12
 
 
 def test_apply_rejects_invalid_density():

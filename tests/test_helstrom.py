@@ -99,8 +99,9 @@ def test_mirror_tie_keeps_the_projector():
 
 
 def test_real_off_diagonal_matches_complex(rng):
-    # Outputs of phi = 0 inputs carry a float off-diagonal; the kernel must
-    # return exactly what it returns for the same entry as a complex number.
+    # Every channel output carries a float off-diagonal, and optimal_povm on
+    # a general state a complex one; the kernel must return exactly the same
+    # for the same entry in either form.
     def as_complex(s):
         return s[0], s[1], complex(s[2])
 

@@ -7,91 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_hermitian
-from qcdisc.linalg import (
-    ConvergenceError,
-    NonHermitianError,
-    adjoint,
-    eig2_entries,
-    eigen_hermitian,
-    jacobi_eigh,
-    matmul,
-    tensor,
-    trace,
-)
+from oracles import ConvergenceError, NonHermitianError, eigen_hermitian, jacobi_eigh
+from qcdisc.helstrom import eig2_entries
 
-I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def product_oracle(a, b):
-    """Entry-by-entry sum-of-products reference for the matrix product."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_identity(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(matmul(np.eye(3), a), a, atol=1e-15)
-
-
-def test_pauli_x_involution():
-    np.testing.assert_allclose(matmul(PAULI_X, PAULI_X), I2, atol=1e-15)
-
-
-def test_matmul_matches_product_oracle(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(matmul(a, b), product_oracle(a, b), atol=1e-14)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((3, 2)))
-
-
-def test_trace_identity():
-    assert trace(I2) == 2.0
-
-
-def test_adjoint_conjugate_transpose(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(adjoint(a), a.conj().T, atol=0)
-
-
-def test_tensor_identity():
-    np.testing.assert_allclose(tensor(I2, I2), np.eye(4), atol=0)
-
-
-def test_tensor_layout():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = np.array(
-        [
-            [0.0, 1.0, 0.0, 2.0],
-            [1.0, 0.0, 2.0, 0.0],
-            [0.0, 3.0, 0.0, 4.0],
-            [3.0, 0.0, 4.0, 0.0],
-        ]
-    )
-    np.testing.assert_allclose(tensor(a, b), expected, atol=0)
-
-
-def test_trace_of_tensor_factorizes(rng):
-    for _ in range(10):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 4)
-        lhs = trace(tensor(a, b))
-        rhs = trace(a) * trace(b)
-        assert abs(lhs - rhs) < 1e-12
 
 
 def test_eigen_pauli_x():

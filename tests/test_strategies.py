@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_spec_pair
-from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, InputState, apply, output_entries, pure_state
+from oracles import InputState, apply, eigen_hermitian, pure_state
+from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
-from qcdisc.linalg import eigen_hermitian, tensor
 from qcdisc.strategies import (
     BAYES_SHOT_CAP,
     GLOBAL_SHOT_CAP,
@@ -46,7 +46,7 @@ def channel_matrix(spec, sched, k, node_index=0):
         r = sched.levels[k]
     else:
         r = sched.levels[k][node_index]
-    s = output_entries(spec, r, sched.phi)
+    s = output_entries(spec, r)
     return np.array([[s[0], s[2]], [s[2].conjugate(), s[1]]], dtype=complex)
 
 
@@ -182,15 +182,15 @@ def test_fast_values_match_tree_evals(rng):
 
 
 def test_global_matches_iterative_eigensolver(rng):
-    # Rebuild the collective measurement from the package's own Jacobi
-    # eigensolver and compare success probabilities.
+    # Rebuild the collective measurement from the reference Jacobi
+    # eigensolver of the test oracles and compare success probabilities.
     for spec0, spec1 in ALL_PAIRS:
         sched = InputSchedule.flat(rng.random(3))
         prod0 = channel_matrix(spec0, sched, 0)
         prod1 = channel_matrix(spec1, sched, 0)
         for k in (1, 2):
-            prod0 = tensor(prod0, channel_matrix(spec0, sched, k))
-            prod1 = tensor(prod1, channel_matrix(spec1, sched, k))
+            prod0 = np.kron(prod0, channel_matrix(spec0, sched, k))
+            prod1 = np.kron(prod1, channel_matrix(spec1, sched, k))
         eig = eigen_hermitian(0.5 * (prod0 - prod1))
         kept = eig.eigenvectors[:, eig.eigenvalues >= 0]
         pi0 = kept @ kept.conj().T
@@ -201,8 +201,9 @@ def test_global_matches_iterative_eigensolver(rng):
 
 @pytest.mark.parametrize("complex_factors", [False, True])
 def test_kron_chain_equals_numpy_kron(rng, complex_factors):
-    # Real factors are the phi = 0 outputs, complex ones the phi != 0 ones.
-    # General 2x2 entries, so that a transposed block would show.
+    # Channel outputs give real factors; complex ones check that the chain
+    # keeps a general dtype. General 2x2 entries, so that a transposed
+    # block would show.
     for n in range(1, 9):
         mats = [rng.normal(size=(2, 2)) for _ in range(n)]
         if complex_factors:
