@@ -4,7 +4,7 @@ __version__ = "0.2.0"
 
 from .channels import ChannelFamily, ChannelSpec
 from .helstrom import HelstromResult, Povm, PovmCase, WeightedPair, optimal_povm
-from .optimizer import BoxDomain, OptResult, OptimizerConfig, maximize
+from .optimizer import OptResult, OptimizerConfig, maximize
 from .strategies import (
     InputSchedule,
     StrategyEval,
@@ -16,7 +16,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "BoxDomain",
     "ChannelFamily",
     "ChannelSpec",
     "HelstromResult",

@@ -28,6 +28,7 @@ from .experiments import (
     write_records_csv,
     write_records_json,
 )
+from .optimizer import OptimizerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,9 +163,9 @@ def _config_from_args(args, needs_points: bool):
         n_max=n_max,
         strategies=strategies,
         input_mode=_pick(args, file_cfg, "input_mode", "flat"),
-        value_tol=float(_pick(args, file_cfg, "value_tol", 1e-9)),
-        max_evals=int(_pick(args, file_cfg, "max_evals", 20000)),
-        max_starts=int(_pick(args, file_cfg, "max_starts", 64)),
+        value_tol=float(_pick(args, file_cfg, "value_tol", OptimizerConfig.value_tol)),
+        max_evals=int(_pick(args, file_cfg, "max_evals", OptimizerConfig.max_evals)),
+        max_starts=int(_pick(args, file_cfg, "max_starts", OptimizerConfig.max_starts)),
         seed=int(_pick(args, file_cfg, "seed", 0)),
         jobs=int(_pick(args, file_cfg, "jobs", 1)),
     ), file_cfg

@@ -22,7 +22,7 @@ from .channels import ChannelFamily, ChannelSpec, ETA_MAX
 from .helstrom import WeightedPair, brute_force_povm, optimal_povm, povm_defect
 # maximize is not called here, but stays importable from this module: the
 # traced benchmark run (perfbench/run.py) wraps experiments.maximize.
-from .optimizer import BoxDomain, OptimizerConfig, OptResult, maximize, maximize_batch  # noqa: F401
+from .optimizer import OptimizerConfig, OptResult, maximize, maximize_batch  # noqa: F401
 from .strategies import (
     GLOBAL_SHOT_CAP,
     InputSchedule,
@@ -91,9 +91,9 @@ class ExperimentConfig:
     n_max: int = 1
     strategies: tuple = VALID_STRATEGIES
     input_mode: str = "flat"
-    value_tol: float = 1e-9
-    max_evals: int = 20000
-    max_starts: int = 64
+    value_tol: float = OptimizerConfig.value_tol
+    max_evals: int = OptimizerConfig.max_evals
+    max_starts: int = OptimizerConfig.max_starts
     seed: int = 0
     jobs: int = 1
 
@@ -143,9 +143,9 @@ def make_config(
     n_max: int = 1,
     strategies=VALID_STRATEGIES,
     input_mode: str = "flat",
-    value_tol: float = 1e-9,
-    max_evals: int = 20000,
-    max_starts: int = 64,
+    value_tol: float = OptimizerConfig.value_tol,
+    max_evals: int = OptimizerConfig.max_evals,
+    max_starts: int = OptimizerConfig.max_starts,
     seed: int = 0,
     jobs: int = 1,
 ) -> ExperimentConfig:
@@ -249,7 +249,7 @@ def _optimize_cells(kind, family: ChannelFamily, cells, shots: int, input_mode: 
     eta1 = np.array([e1 for _, e1 in cells], dtype=float)
     return maximize_batch(
         lambda cell, x: values(kind, family, eta0[cell], eta1[cell], x, mode),
-        BoxDomain.unit(d),
+        d,
         opt_cfgs,
     )
 

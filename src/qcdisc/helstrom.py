@@ -20,15 +20,20 @@ zero) unless the difference operator itself vanishes: it is the limit of
 the optimal measurement for inputs that move off the tie, and unlike a
 trivial POVM it leaves information for later shots.
 
-The batched kernel works in the Bloch picture of real states. With
-z_c = (rho00 - rho11)/2, x_c = rho01, and hd = (da - db)/2 and dc from the
-entries of the difference operator, lam0, lam1 = (2*p0 - 1)/2 +- h with
-h = hypot(hd, dc), and the projector has t_c = Tr(rho_c pi0) =
-1/2 + (z_c*hd + x_c*dc)/h, or t_c = rho00 (e0, as the scalar kernel) where
-h = 0. This scales with the weights, which it takes unnormalized (l0, l1);
-a last shot yields only its success, l1 + lam0 on the projector and
-max(l0, l1) otherwise. Both kernels clamp traces into [0, 1], so 1 - t
-never leaves a negative weight after rounding.
+Both kernels, the scalar :func:`success_and_traces` and the batched
+:func:`_shot_batch`, work in the Bloch picture. With hd = (da - db)/2 and dc
+from the entries of the difference operator and h = hypot(hd, |dc|), its
+eigenvalues are lam0, lam1 = (da + db)/2 +- h, and its top eigenvector has
+the unit Bloch vector (nz, nx) = (hd, dc)/h, the projector
+pi0 = 1/2 [[1 + nz, nx], [conj(nx), 1 - nz]]; where h = 0 both take e0,
+(nz, nx) = (1, 0). A state rho_c then has t_c = Tr(rho_c pi0) =
+(rho00 + rho11 + nz*(rho00 - rho11))/2 + Re(rho01*conj(nx)). The scalar
+kernel takes the weights (p0, 1 - p0) and a float or complex off-diagonal.
+The batched one takes real states as z_c = (rho00 - rho11)/2 and
+x_c = rho01, unnormalized weights (l0, l1), so (da + db)/2 = (l0 - l1)/2
+and t_c = 1/2 + (z_c*hd + x_c*dc)/h; a last shot yields only its success,
+l1 + lam0 on the projector and max(l0, l1) otherwise. Both kernels clamp
+traces into [0, 1], so 1 - t never leaves a negative weight after rounding.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "TIE_TOL",
     "WeightedPair",
     "brute_force_povm",
-    "delta_op",
     "optimal_povm",
     "outcome_probs",
     "povm_defect",
@@ -104,67 +108,49 @@ def _entries(rho: np.ndarray):
 def eig2_entries(app: float, aqq: float, apq):
     """Closed-form eigensystem of ``[[app, apq], [conj(apq), aqq]]``.
 
-    Returns ``(lam0, lam1, v0, v1)`` with lam0 >= lam1 and the eigenvectors
-    as (component, component) tuples, normalized. One kernel serves both
-    kinds of off-diagonal: ``apq`` is a float for every channel output and
-    may be complex for a general state passed to :func:`optimal_povm`.
+    Returns ``(lam0, lam1, nz, nx)`` with lam0 >= lam1 and ``(nz, nx)`` the
+    unit Bloch vector of the top eigenvector, whose projector is
+    ``1/2 [[1 + nz, nx], [conj(nx), 1 - nz]]``; e0, ``(1.0, 0.0)``, where the
+    eigenvalues coincide. One kernel serves both kinds of off-diagonal:
+    ``apq`` is a float for every channel output and may be complex for a
+    general state passed to :func:`optimal_povm`.
     """
     half_tr = 0.5 * (app + aqq)
     half_diff = 0.5 * (app - aqq)
-    absq = abs(apq)
-    radius = math.hypot(half_diff, absq)
+    radius = math.hypot(half_diff, abs(apq))
     lam0 = half_tr + radius
     lam1 = half_tr - radius
-    if absq == 0.0:
-        if app >= aqq:
-            return lam0, lam1, (1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)
-        return lam0, lam1, (0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 0.0j)
-    # Pick the better-conditioned eigenvector expression for lam0; the
-    # discarded one degenerates when lam0 approaches the matching diagonal.
-    if half_diff >= 0.0:
-        u, w = lam0 - aqq, apq.conjugate()
-    else:
-        u, w = apq, lam0 - app
-    # hypot of the moduli: squaring them underflows to a zero norm once the
-    # off-diagonal entry is below about 1e-154.
-    norm = math.hypot(abs(u), abs(w))
-    u /= norm
-    w /= norm
-    v0 = (u, w)
-    v1 = (-w.conjugate(), u.conjugate())
-    return lam0, lam1, v0, v1
+    if radius == 0.0:
+        return lam0, lam1, 1.0, 0.0
+    return lam0, lam1, half_diff / radius, apq / radius
 
 
 def success_and_traces(p0: float, s0, s1):
     """Scalar core of the optimal measurement.
 
     ``s0``/``s1`` are states in entry form ``(rho00, rho11, rho01)``.
-    Returns ``(case, p_succ, t0, t1, lam0, lam1, v0)`` where
-    ``t_c = Tr(rho_c pi0)`` and ``v0`` is the projective direction
-    (``None`` for the trivial POVMs). Allocation free, shared by
+    Returns ``(case, p_succ, t0, t1, lam0, lam1, n)`` where
+    ``t_c = Tr(rho_c pi0)`` and ``n = (nz, nx)`` is the Bloch vector of the
+    projector (``None`` for the trivial POVMs). Allocation free, shared by
     :func:`optimal_povm` and the multi-shot evaluators.
     """
     p1 = 1.0 - p0
     da = p0 * s0[0] - p1 * s1[0]
     db = p0 * s0[1] - p1 * s1[1]
     dc = p0 * s0[2] - p1 * s1[2]
-    lam0, lam1, v0, _ = eig2_entries(da, db, dc)
+    lam0, lam1, nz, nx = eig2_entries(da, db, dc)
     informative = lam0 > 0.0 or (
         lam0 > -TIE_TOL and abs(da) + abs(db) + abs(dc) > TIE_TOL
     )
     if informative and 2.0 * p0 <= 1.0 + lam0 + TIE_TOL:
-        x, y = v0
-        xc = x.conjugate()
-        yc = y.conjugate()
-        xx = (x * xc).real
-        yy = (y * yc).real
-        t0 = xx * s0[0] + yy * s0[1] + 2.0 * (xc * s0[2] * y).real
-        t1 = xx * s1[0] + yy * s1[1] + 2.0 * (xc * s1[2] * y).real
+        nxc = nx.conjugate()
+        t0 = 0.5 * (s0[0] + s0[1] + nz * (s0[0] - s0[1])) + (s0[2] * nxc).real
+        t1 = 0.5 * (s1[0] + s1[1] + nz * (s1[0] - s1[1])) + (s1[2] * nxc).real
         if not 0.0 <= t0 <= 1.0:
             t0 = 0.0 if t0 < 0.0 else 1.0
         if not 0.0 <= t1 <= 1.0:
             t1 = 0.0 if t1 < 0.0 else 1.0
-        return PovmCase.PROJECTIVE, lam0 + 1.0 - p0, t0, t1, lam0, lam1, v0
+        return PovmCase.PROJECTIVE, lam0 + 1.0 - p0, t0, t1, lam0, lam1, (nz, nx)
     if lam0 > 0.0 or p0 > 0.5:
         return PovmCase.ALWAYS_GUESS_0, p0, 1.0, 1.0, lam0, lam1, None
     return PovmCase.ALWAYS_GUESS_1, 1.0 - p0, 0.0, 0.0, lam0, lam1, None
@@ -204,17 +190,10 @@ def _shot_batch(w, z, x, last):
     return np.where(projective, t, lam0 > 0.0)
 
 
-def delta_op(w: WeightedPair) -> np.ndarray:
-    """The weighted difference p0*rho0 - (1-p0)*rho1."""
-    return w.p0 * np.asarray(w.rho0, dtype=complex) - (1.0 - w.p0) * np.asarray(
-        w.rho1, dtype=complex
-    )
-
-
-def _build_povm(case: PovmCase, v0) -> Povm:
+def _build_povm(case: PovmCase, n) -> Povm:
     if case is PovmCase.PROJECTIVE:
-        ket = np.array(v0, dtype=complex)
-        pi0 = np.outer(ket, ket.conj())
+        nz, nx = n
+        pi0 = 0.5 * np.array([[1.0 + nz, nx], [nx.conjugate(), 1.0 - nz]], dtype=complex)
         return Povm(pi0, _I2 - pi0, case)
     if case is PovmCase.ALWAYS_GUESS_0:
         return Povm(_I2.copy(), _ZERO2.copy(), case)
@@ -223,10 +202,10 @@ def _build_povm(case: PovmCase, v0) -> Povm:
 
 def optimal_povm(w: WeightedPair) -> HelstromResult:
     """Optimal binary POVM and its success probability."""
-    case, p_succ, _, _, lam0, lam1, v0 = success_and_traces(
+    case, p_succ, _, _, lam0, lam1, n = success_and_traces(
         w.p0, _entries(np.asarray(w.rho0, dtype=complex)), _entries(np.asarray(w.rho1, dtype=complex))
     )
-    return HelstromResult(_build_povm(case, v0), p_succ, lam0, lam1)
+    return HelstromResult(_build_povm(case, n), p_succ, lam0, lam1)
 
 
 def outcome_probs(rho, m: Povm):

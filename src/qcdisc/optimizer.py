@@ -1,4 +1,4 @@
-"""Box-constrained derivative-free maximization via multistart Nelder-Mead.
+"""Multistart Nelder-Mead maximization over the unit box [0, 1]^d.
 
 The objectives here are smooth, cheap, low-dimensional and often maximized
 on the boundary of the unit box, so the start set is the {0, 1/2, 1}
@@ -15,29 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxDomain", "OptResult", "OptimizerConfig", "maximize", "maximize_batch"]
+__all__ = ["OptResult", "OptimizerConfig", "maximize", "maximize_batch"]
 
 # Reflection / expansion / contraction / shrink coefficients.
 _ALPHA, _GAMMA, _BETA, _DELTA = 1.0, 2.0, 0.5, 0.5
-
-
-@dataclass(frozen=True)
-class BoxDomain:
-    d: int
-    lower: tuple
-    upper: tuple
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if len(self.lower) != self.d or len(self.upper) != self.d:
-            raise ValueError("bounds length does not match dimension")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
-            raise ValueError("bounds must satisfy lower < upper")
-
-    @classmethod
-    def unit(cls, d: int) -> "BoxDomain":
-        return cls(d, (0.0,) * d, (1.0,) * d)
+# Edge length of each start's initial simplex.
+_INITIAL_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -54,7 +37,6 @@ class OptimizerConfig:
     max_evals: int = 20000
     seed: int = 0
     max_starts: int = 64
-    initial_step: float = 0.25
     extra_starts: tuple = ()
 
 
@@ -73,27 +55,24 @@ def _latin_hypercube(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     return sample
 
 
-def _starts(dom: BoxDomain, cfg: OptimizerConfig) -> np.ndarray:
-    lo = np.asarray(dom.lower, dtype=float)
-    hi = np.asarray(dom.upper, dtype=float)
-    if 3**dom.d <= cfg.max_starts:
+def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
+    if 3**d <= cfg.max_starts:
         axes = np.array([0.0, 0.5, 1.0])
-        grids = np.meshgrid(*([axes] * dom.d), indexing="ij")
-        unit = np.stack([g.ravel() for g in grids], axis=1)
+        grids = np.meshgrid(*([axes] * d), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
     else:
         # Keep the all-corner and center points, fill the rest at random.
-        fixed = np.array([[0.0] * dom.d, [0.5] * dom.d, [1.0] * dom.d])
+        fixed = np.array([[0.0] * d, [0.5] * d, [1.0] * d])
         rng = np.random.default_rng(cfg.seed)
-        unit = np.vstack([fixed, _latin_hypercube(rng, cfg.max_starts - 3, dom.d)])
-    pts = lo + unit * (hi - lo)
+        pts = np.vstack([fixed, _latin_hypercube(rng, cfg.max_starts - 3, d)])
     if cfg.extra_starts:
-        extra = np.clip(np.asarray(cfg.extra_starts, dtype=float), lo, hi)
-        pts = np.vstack([pts, extra.reshape(-1, dom.d)])
+        extra = np.clip(np.asarray(cfg.extra_starts, dtype=float), 0.0, 1.0)
+        pts = np.vstack([pts, extra.reshape(-1, d)])
     return pts
 
 
-def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
-    """Best point of each of several problems over the same box.
+def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
+    """Best point of each of several problems over the unit box [0, 1]^d.
 
     ``objective(problem, x)`` takes an index array ``problem`` of shape
     ``(rows,)`` and points ``x`` of shape ``(rows, d)`` and returns the
@@ -108,28 +87,26 @@ def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
     if every start of that problem met its value tolerance within its
     evaluation budget.
     """
-    d = dom.d
-    lo = np.asarray(dom.lower, dtype=float)
-    hi = np.asarray(dom.upper, dtype=float)
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     # One row per start, stacked problem by problem.
-    starts = [_starts(dom, cfg) for cfg in cfgs]
+    starts = [_starts(d, cfg) for cfg in cfgs]
     problem = np.repeat(np.arange(len(cfgs)), [len(pts) for pts in starts])
     x0 = np.vstack(starts)
     rows = len(problem)
     tol = np.array([cfgs[j].value_tol for j in problem])
     budget = np.array([cfgs[j].max_evals for j in problem])
-    step = np.array([cfgs[j].initial_step for j in problem])[:, None] * (hi - lo)
 
     def g(live, x):
         return -np.asarray(objective(problem[live], x), dtype=float)
 
     # Simplex of each start in rows; vertex 0 is the clamped start point,
     # vertex i + 1 moves coordinate i by the step, inward at the upper bound.
-    first = np.clip(x0, lo, hi)
+    first = np.clip(x0, 0.0, 1.0)
     simplex = np.repeat(first[:, None, :], d + 1, axis=1)
     for i in range(d):
-        up = first[:, i] + step[:, i]
-        simplex[:, i + 1, i] = np.where(up <= hi[i], up, first[:, i] - step[:, i])
+        up = first[:, i] + _INITIAL_STEP
+        simplex[:, i + 1, i] = np.where(up <= 1.0, up, first[:, i] - _INITIAL_STEP)
     live = np.arange(rows)
     # One call per vertex rather than one for all keeps a call at one point
     # per start, as in the reflection step, and so the objective's working
@@ -176,7 +153,7 @@ def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
             centroid += simplex[:, i]
         centroid /= d
         worst = simplex[:, -1]
-        reflected = np.clip(centroid + _ALPHA * (centroid - worst), lo, hi)
+        reflected = np.clip(centroid + _ALPHA * (centroid - worst), 0.0, 1.0)
         fr = g(live, reflected)
         evals += 1
         best_f, second_f, worst_f = values[:, 0], values[:, -2], values[:, -1]
@@ -189,8 +166,8 @@ def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
                 centroid + _GAMMA * (centroid - worst),
                 centroid + _BETA * (worst - centroid),
             ),
-            lo,
-            hi,
+            0.0,
+            1.0,
         )
         tried = expand | contract
         ft = np.full_like(fr, np.nan)
@@ -215,7 +192,7 @@ def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
             r_idx = rid[r_idx]
             v_idx = v_idx + 1
             best = simplex[r_idx, 0]
-            points = np.clip(best + _DELTA * (simplex[r_idx, v_idx] - best), lo, hi)
+            points = np.clip(best + _DELTA * (simplex[r_idx, v_idx] - best), 0.0, 1.0)
             simplex[r_idx, v_idx] = points
             values[r_idx, v_idx] = g(live[r_idx], points)
             evals[rid] += count
@@ -234,8 +211,8 @@ def maximize_batch(objective, dom: BoxDomain, cfgs) -> list[OptResult]:
     return results
 
 
-def maximize(objective, dom: BoxDomain, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
-    """Best point of a scalar ``objective(x)`` over the box, multistart
+def maximize(objective, d: int, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
+    """Best point of a scalar ``objective(x)`` over [0, 1]^d, multistart
     Nelder-Mead; :func:`maximize_batch` with one problem.
 
     Deterministic for a fixed config. ``converged`` is True only if every
@@ -245,4 +222,4 @@ def maximize(objective, dom: BoxDomain, cfg: OptimizerConfig = OptimizerConfig()
     def batch(_, x):
         return [objective(row) for row in x]
 
-    return maximize_batch(batch, dom, [cfg])[0]
+    return maximize_batch(batch, d, [cfg])[0]

@@ -268,8 +268,9 @@ def _bayesian_walk(eta0, eta1, sched):
     reweights the hypotheses by the likelihood of its history and takes the
     optimal one-shot measurement at that weight; the leaves accumulate the
     probability that the final outcome names the true channel. Returns
-    ``(p_succ, nodes)``, where ``nodes`` lists ``(k, idx, p0, case, v0, t0,
-    t1)`` for each node reached, in visiting order.
+    ``(p_succ, nodes)``, where ``nodes`` lists ``(k, idx, p0, case, n, t0,
+    t1)`` for each node reached, in visiting order, with ``n`` the Bloch
+    vector of its projector as :func:`success_and_traces` returns it.
     """
     _check_bayes(eta0, eta1, sched)
     last = sched.shots - 1
@@ -284,8 +285,8 @@ def _bayesian_walk(eta0, eta1, sched):
             continue  # a history neither channel can produce
         s0, s1 = _node_pair(eta0, eta1, sched, pairs, k, idx)
         p0 = l0 / tot
-        case, _, t0, t1, _, _, v0 = success_and_traces(p0, s0, s1)
-        nodes.append((k, idx, p0, case, v0, t0, t1))
+        case, _, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
+        nodes.append((k, idx, p0, case, n, t0, t1))
         if k == last:
             total += l0 * t0 + l1 * (1.0 - t1)
         else:
@@ -298,9 +299,9 @@ def _strategy_eval(p_succ: float, nodes: list, key) -> StrategyEval:
     """The measurement tree of a walk's nodes, keyed by ``key(k, i)``."""
     tree: dict = {}
     posts: dict = {}
-    for k, i, p0, case, v0, _, _ in nodes:
+    for k, i, p0, case, n, _, _ in nodes:
         label = key(k, i)
-        tree[label] = _build_povm(case, v0)
+        tree[label] = _build_povm(case, n)
         posts[label] = p0
     return StrategyEval(p_succ, tree, posts)
 
@@ -350,8 +351,8 @@ def _markovian_walk(eta0, eta1, sched):
                 continue  # a last outcome neither channel can produce
             s0, s1 = _node_pair(eta0, eta1, sched, pairs, k, prev)
             p0 = m0 / tot
-            case, _, t0, t1, _, _, v0 = success_and_traces(p0, s0, s1)
-            nodes.append((k, prev, p0, case, v0, t0, t1))
+            case, _, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
+            nodes.append((k, prev, p0, case, n, t0, t1))
             n00 += m0 * t0
             n01 += m0 * (1.0 - t0)
             n10 += m1 * t1

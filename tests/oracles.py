@@ -1,9 +1,11 @@
 """Dense reference implementations that the tests check the package against.
 
-* A complex Hermitian eigensolver: the closed-form 2x2 kernel of
-  :mod:`qcdisc.helstrom` at 2x2 and cyclic Jacobi rotations above, which
-  is plenty for the matrix sizes of the global strategy (at most a few
-  hundred). Matrices are square, eigenvectors come back as columns.
+* A complex Hermitian eigensolver by cyclic Jacobi rotations, which is
+  plenty for the matrix sizes of the global strategy (at most a few
+  hundred) and independent of the closed-form 2x2 kernel of
+  :mod:`qcdisc.helstrom` that it checks. Matrices are square, eigenvectors
+  come back as columns.
+* The weighted difference operator of the one-shot problem.
 * The channel families as Kraus maps on full density matrices, with the
   phased pure input sqrt(1-r)|0> + e^{-i phi} sqrt(r)|1>.
 """
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcdisc.channels import ChannelFamily, ChannelSpec
-from qcdisc.helstrom import eig2_entries
 
 # ---------------------------------------------------------------------------
 # Hermitian eigensolver
@@ -140,28 +141,25 @@ def eigen_hermitian(a, tol: float = 1e-12, max_sweeps: int = 100) -> HermitianEi
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is checked against :data:`HERMITIAN_TOL` and symmetrized to
-    suppress round-off drift. 2x2 matrices use the closed-form solution,
-    larger ones :func:`jacobi_eigh`.
+    suppress round-off drift, then diagonalized by :func:`jacobi_eigh`.
     """
     a = _require_square(a)
     defect = np.linalg.norm(a - a.conj().T)
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(f"||A - A^H|| = {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
     a = 0.5 * (a + a.conj().T)
-    n = a.shape[0]
-    if n == 1:
-        values = np.array([a[0, 0].real])
-        vectors = np.ones((1, 1), dtype=complex)
-    elif n == 2:
-        lam0, lam1, v0, v1 = eig2_entries(a[0, 0].real, a[1, 1].real, a[0, 1])
-        values = np.array([lam0, lam1])
-        vectors = np.array([[v0[0], v1[0]], [v0[1], v1[1]]], dtype=complex)
-    else:
-        values, vectors = jacobi_eigh(a, tol=tol, max_sweeps=max_sweeps)
-        order = np.argsort(-values, kind="stable")
-        values = values[order]
-        vectors = vectors[:, order]
+    values, vectors = jacobi_eigh(a, tol=tol, max_sweeps=max_sweeps)
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
     return HermitianEigen(values, _phase_fix(vectors))
+
+
+def delta_op(w) -> np.ndarray:
+    """The weighted difference p0*rho0 - (1-p0)*rho1 of a ``WeightedPair``."""
+    return w.p0 * np.asarray(w.rho0, dtype=complex) - (1.0 - w.p0) * np.asarray(
+        w.rho1, dtype=complex
+    )
 
 
 # ---------------------------------------------------------------------------

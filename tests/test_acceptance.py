@@ -14,7 +14,7 @@ import numpy as np
 
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import WeightedPair, brute_force_povm, optimal_povm, outcome_probs
-from qcdisc.optimizer import BoxDomain, OptimizerConfig, maximize
+from qcdisc.optimizer import OptimizerConfig, maximize
 from qcdisc.strategies import (
     InputSchedule,
     StrategyKind,
@@ -276,7 +276,7 @@ def test_criterion_9_damping_optimal_input():
         worst_scan = max(worst_scan, abs(r_scan - r_formula))
         res = maximize(
             lambda x: engine(float(x[0])),
-            BoxDomain.unit(1),
+            1,
             OptimizerConfig(value_tol=1e-14, seed=9),
         )
         worst_opt = max(worst_opt, abs(res.best_point[0] - r_formula))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_density, random_spec_pair
+from oracles import delta_op
 from qcdisc.channels import ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import (
     TIE_TOL,
     PovmCase,
     WeightedPair,
+    _shot_batch,
     brute_force_povm,
-    delta_op,
     optimal_povm,
     outcome_probs,
     povm_defect,
@@ -70,7 +71,7 @@ def test_exact_tie_keeps_the_projector():
     # always guessing 1 tie at 0.6; only the measurement informs later shots.
     s0 = (0.6, 0.4, 0.0j)
     s1 = (0.4, 0.6, 0.0j)
-    case, p_succ, t0, t1, lam0, _, v0 = success_and_traces(0.4, s0, s1)
+    case, p_succ, t0, t1, lam0, _, _ = success_and_traces(0.4, s0, s1)
     assert lam0 == 0.0
     assert case is PovmCase.PROJECTIVE
     assert abs(p_succ - 0.6) < 1e-15
@@ -98,15 +99,19 @@ def test_mirror_tie_keeps_the_projector():
     assert p_succ == 0.9
 
 
-def test_real_off_diagonal_matches_complex(rng):
-    # Every channel output carries a float off-diagonal, and optimal_povm on
-    # a general state a complex one; the kernel must return exactly the same
-    # for the same entry in either form.
-    def as_complex(s):
-        return s[0], s[1], complex(s[2])
-
+def _kernel_cases(rng):
+    """(p0, s0, s1) at the exact branches and ties of the one-shot rule,
+    then at random channel outputs, all with float off-diagonals."""
     bit_flip = ChannelFamily.BIT_FLIP
     cases = [
+        # c = 0 with the top eigenvector e0 and e1, and a vanishing operator
+        (0.5, (0.7, 0.3, 0.0), (0.2, 0.8, 0.0)),
+        (0.5, (0.2, 0.8, 0.0), (0.7, 0.3, 0.0)),
+        (0.5, (0.5, 0.5, 0.0), (0.5, 0.5, 0.0)),
+        # hd = c = 0 at a nonzero operator, within TIE_TOL of p0 = 1/2: the
+        # projector is kept and both kernels take e0, t = rho00 (not rho11)
+        (0.5 + 2.0**-43, (0.30319482929173447, 0.6968051707082655, 0.0),
+         (0.303194829291645, 0.696805170708355, 0.0)),
         # c = 0 and a subnormal c
         (0.3, (0.7, 0.3, 0.0), (0.2, 0.8, 0.0)),
         (0.3, (0.7, 0.3, 5e-322), (0.2, 0.8, -5e-322)),
@@ -123,10 +128,41 @@ def test_real_off_diagonal_matches_complex(rng):
         r = float(rng.choice([rng.random(), 0.0, 1.0, 5e-322]))
         p0 = float(rng.choice([rng.random(), 0.0, 0.5, 1.0]))
         cases.append((p0, output_entries(spec0, r), output_entries(spec1, r)))
-    for p0, s0, s1 in cases:
+    return cases
+
+
+def test_real_off_diagonal_matches_complex(rng):
+    # Every channel output carries a float off-diagonal, and optimal_povm on
+    # a general state a complex one; the kernel must return exactly the same
+    # for the same entry in either form.
+    def as_complex(s):
+        return s[0], s[1], complex(s[2])
+
+    for p0, s0, s1 in _kernel_cases(rng):
         assert isinstance(s0[2], float) and isinstance(s1[2], float)
         want = success_and_traces(p0, as_complex(s0), as_complex(s1))
         assert success_and_traces(p0, s0, s1) == want, (p0, s0, s1)
+
+
+def test_scalar_and_batched_kernels_agree(rng):
+    # success_and_traces and its array twin _shot_batch, at weights
+    # (p0, 1 - p0), one column per case: the same projector or trivial
+    # choice, traces and last-shot success to 1e-15.
+    cases = _kernel_cases(rng)
+    w = np.array([[p0 for p0, _, _ in cases], [1.0 - p0 for p0, _, _ in cases]])
+    s = np.array([[s0 for _, s0, _ in cases], [s1 for _, _, s1 in cases]])
+    z = 0.5 * (s[:, :, 0] - s[:, :, 1])
+    x = s[:, :, 2]
+    traces = _shot_batch(w, z, x, False)
+    success = _shot_batch(w, z, x, True)
+    for j, (p0, s0, s1) in enumerate(cases):
+        case, p_succ, t0, t1, *_ = success_and_traces(p0, s0, s1)
+        if case is PovmCase.PROJECTIVE:
+            assert abs(traces[0, j] - t0) <= 1e-15 and abs(traces[1, j] - t1) <= 1e-15, j
+        else:
+            # the trivial POVM's traces, exactly
+            assert (traces[0, j], traces[1, j]) == (t0, t1), j
+        assert abs(success[j] - p_succ) <= 1e-15, j
 
 
 def test_lambda_trace_identity(rng):
@@ -154,8 +190,12 @@ def test_success_consistent_with_traces(rng):
         w = WeightedPair(float(rng.random()), random_density(rng), random_density(rng))
         res = optimal_povm(w)
         t0, _ = outcome_probs(w.rho0, res.povm)
-        _, u1 = outcome_probs(w.rho1, res.povm)
+        t1, u1 = outcome_probs(w.rho1, res.povm)
         assert abs(res.p_succ - (w.p0 * t0 + (1 - w.p0) * u1)) < 1e-12
+        # the kernel's own traces, from complex off-diagonals
+        entries = [(r[0, 0].real, r[1, 1].real, complex(r[0, 1])) for r in (w.rho0, w.rho1)]
+        _, _, k0, k1, *_ = success_and_traces(w.p0, *entries)
+        assert abs(k0 - t0) < 1e-12 and abs(k1 - t1) < 1e-12
 
 
 def test_equal_priors_trace_norm_formula(rng):
