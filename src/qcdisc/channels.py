@@ -72,19 +72,27 @@ def output_entries(c: ChannelSpec, r: float):
     return a + b * sin_eta * sin_eta, b * cos_eta * cos_eta, off * cos_eta
 
 
-def _entries_batch(family: ChannelFamily, eta, r):
+def _eta_terms(family: ChannelFamily, eta):
+    """The two factors of :func:`_entries_batch` that depend on eta alone,
+    elementwise: (1 - eta, eta), or (cos eta, sin eta) for amplitude damping."""
+    if family is ChannelFamily.AMPLITUDE_DAMPING:
+        return np.cos(eta), np.sin(eta)
+    return 1.0 - eta, eta
+
+
+def _entries_batch(family: ChannelFamily, terms, r):
     """Output entries (rho00, rho11, rho01) of the input r, elementwise.
 
-    The array twin of :func:`output_entries`, same operations.
+    ``terms`` are the eta factors of :func:`_eta_terms`. The array twin of
+    :func:`output_entries`, same operations.
     """
     a = 1.0 - r
     off = np.sqrt(r * a)
     if family is ChannelFamily.DEPOLARIZING:
-        keep = 1.0 - eta
+        keep, eta = terms
         return keep * a + 0.5 * eta, keep * r + 0.5 * eta, keep * off
     if family is ChannelFamily.BIT_FLIP:
-        keep = 1.0 - eta
+        keep, eta = terms
         return keep * a + eta * r, keep * r + eta * a, keep * off + eta * off
-    cos_eta = np.cos(eta)
-    sin_eta = np.sin(eta)
+    cos_eta, sin_eta = terms
     return a + r * sin_eta * sin_eta, r * cos_eta * cos_eta, off * cos_eta

@@ -135,8 +135,6 @@ def _config_from_args(args, needs_points: bool):
     strategies = _pick(args, file_cfg, "strategies", "global,bayesian,markovian")
     if isinstance(strategies, str):
         strategies = tuple(s.strip() for s in strategies.split(",") if s.strip())
-    else:
-        strategies = tuple(strategies)
 
     if needs_points:
         eta0 = getattr(args, "eta0", None)
@@ -149,32 +147,34 @@ def _config_from_args(args, needs_points: bool):
             points = file_cfg.get("points")
         if not points:
             raise ConfigError("curve requires at least one (eta0, eta1) point")
-        n_max = int(_pick(args, file_cfg, "n_max", 1))
+        n_max = _pick(args, file_cfg, "n_max", 1)
     else:
         grid_raw = _pick(args, file_cfg, "grid", None)
         if grid_raw is None:
             raise ConfigError("sweep-diff requires --grid MIN:MAX:STEPS")
         grid = _parse_grid(grid_raw)
 
-    return make_config(
+    fmt = _pick(args, file_cfg, "fmt", None) or file_cfg.get("format") or "csv"
+    writers = {"csv": write_records_csv, "json": write_records_json}
+    if not isinstance(fmt, str) or fmt not in writers:
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    cfg = make_config(
         family=family,
         points=points,
         grid=grid,
         n_max=n_max,
         strategies=strategies,
         input_mode=_pick(args, file_cfg, "input_mode", "flat"),
-        value_tol=float(_pick(args, file_cfg, "value_tol", OptimizerConfig.value_tol)),
-        max_evals=int(_pick(args, file_cfg, "max_evals", OptimizerConfig.max_evals)),
-        max_starts=int(_pick(args, file_cfg, "max_starts", OptimizerConfig.max_starts)),
-        seed=int(_pick(args, file_cfg, "seed", 0)),
-        jobs=int(_pick(args, file_cfg, "jobs", 1)),
-    ), file_cfg
+        value_tol=_pick(args, file_cfg, "value_tol", OptimizerConfig.value_tol),
+        max_evals=_pick(args, file_cfg, "max_evals", OptimizerConfig.max_evals),
+        max_starts=_pick(args, file_cfg, "max_starts", OptimizerConfig.max_starts),
+        seed=_pick(args, file_cfg, "seed", 0),
+        jobs=_pick(args, file_cfg, "jobs", 1),
+    )
+    return cfg, writers[fmt], _pick(args, file_cfg, "out", None)
 
 
-def _emit(rows, fields, cfg, args, file_cfg) -> None:
-    fmt = _pick(args, file_cfg, "fmt", None) or file_cfg.get("format") or "csv"
-    out = _pick(args, file_cfg, "out", None)
-    writer = write_records_csv if fmt == "csv" else write_records_json
+def _emit(rows, fields, cfg, writer, out) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             writer(rows, fields, cfg.as_dict(), fh)
@@ -187,14 +187,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd == "curve":
-            cfg, file_cfg = _config_from_args(args, needs_points=True)
+            cfg, writer, out = _config_from_args(args, needs_points=True)
             rows = run_curve(cfg)
-            _emit(rows, CURVE_FIELDS, cfg, args, file_cfg)
+            _emit(rows, CURVE_FIELDS, cfg, writer, out)
             return 0
         if args.cmd == "sweep-diff":
-            cfg, file_cfg = _config_from_args(args, needs_points=False)
+            cfg, writer, out = _config_from_args(args, needs_points=False)
             rows = run_sweep_diff(cfg)
-            _emit(rows, SWEEP_FIELDS, cfg, args, file_cfg)
+            _emit(rows, SWEEP_FIELDS, cfg, writer, out)
             return 0
         checks = run_validate(args.suite, args.seed)
         failed = 0

@@ -29,7 +29,7 @@ from .strategies import (
     StrategyKind,
     simulate_protocol,
     strategy_value,
-    values,
+    values_objective,
 )
 
 __all__ = [
@@ -136,6 +136,15 @@ def _eta_scale(family: ChannelFamily) -> float:
     return math.pi / 2 if family is ChannelFamily.AMPLITUDE_DAMPING else 1.0
 
 
+def _number(kind, value, name: str):
+    """``kind(value)``, or a :class:`ConfigError` naming the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
 def make_config(
     family,
     points=None,
@@ -161,7 +170,10 @@ def make_config(
     scale = _eta_scale(family)
     hi = ETA_MAX[family]
 
-    entered_points = tuple((float(a), float(b)) for a, b in (points or ()))
+    try:
+        entered_points = tuple((float(a), float(b)) for a, b in (points or ()))
+    except (TypeError, ValueError):
+        raise ConfigError(f"points must be [eta0, eta1] pairs of numbers, got {points!r}") from None
     raw_points = tuple((a * scale, b * scale) for a, b in entered_points)
     for (e0, e1), (raw0, raw1) in zip(entered_points, raw_points):
         if not (0.0 <= raw1 <= hi and 0.0 <= raw0 <= hi):
@@ -173,8 +185,12 @@ def make_config(
 
     raw_grid = entered_grid = None
     if grid is not None:
-        gmin, gmax, steps = grid
-        gmin, gmax, steps = float(gmin), float(gmax), int(steps)
+        try:
+            gmin, gmax, steps = grid
+        except (TypeError, ValueError):
+            raise ConfigError(f"grid must be [min, max, steps], got {grid!r}") from None
+        gmin, gmax = _number(float, gmin, "grid min"), _number(float, gmax, "grid max")
+        steps = _number(int, steps, "grid steps")
         if steps < 2:
             raise ConfigError(f"grid needs at least 2 steps, got {steps}")
         if not (0.0 <= gmin * scale < gmax * scale <= hi + 1e-12):
@@ -182,13 +198,18 @@ def make_config(
         entered_grid = (gmin, gmax, steps)
         raw_grid = (gmin * scale, gmax * scale, steps)
 
+    n_max = _number(int, n_max, "n_max")
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    strategies = tuple(strategies)
+    try:
+        strategies = tuple(strategies)
+    except TypeError:
+        strategies = ()
     if not strategies or any(s not in VALID_STRATEGIES for s in strategies):
         raise ConfigError(f"strategies must be a nonempty subset of {VALID_STRATEGIES}")
     if input_mode not in ("flat", "adaptive"):
         raise ConfigError(f"input_mode must be flat or adaptive, got {input_mode!r}")
+    jobs = _number(int, jobs, "jobs")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
@@ -198,14 +219,14 @@ def make_config(
         points_entered=entered_points,
         grid=raw_grid,
         grid_entered=entered_grid,
-        n_max=int(n_max),
+        n_max=n_max,
         strategies=strategies,
         input_mode=input_mode,
-        value_tol=float(value_tol),
-        max_evals=int(max_evals),
-        max_starts=int(max_starts),
-        seed=int(seed),
-        jobs=int(jobs),
+        value_tol=_number(float, value_tol, "value_tol"),
+        max_evals=_number(int, max_evals, "max_evals"),
+        max_starts=_number(int, max_starts, "max_starts"),
+        seed=_number(int, seed, "seed"),
+        jobs=jobs,
     )
 
 
@@ -224,15 +245,15 @@ def _layout(kind: StrategyKind, shots: int, input_mode: str) -> tuple[int, str]:
     return shots, "flat"
 
 
-def _optimize_cells(kind, family: ChannelFamily, cells, shots: int, input_mode: str, opt_cfgs):
-    """Best inputs for one strategy at every ``(eta0, eta1)`` cell.
+def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
+    """Best inputs of many ``(kind, (eta0, eta1), opt_cfg)`` problems.
 
-    One lockstep search over every start of every cell, cell ``i`` with
-    config ``opt_cfgs[i]``; returns one :class:`OptResult` per cell. The
-    depolarizing family is input independent, so each cell is evaluated
-    once at the all-|0> schedule instead.
+    Problems whose searches have the same parameter count and schedule mode
+    run in one lockstep search, on one objective built once for all of them;
+    returns one :class:`OptResult` per problem, in order. The depolarizing
+    family is input independent, so each problem is evaluated once at the
+    all-|0> schedule instead.
     """
-    kind = StrategyKind(kind)
     if family is ChannelFamily.DEPOLARIZING:
         sched = InputSchedule.flat((0.0,) * shots)
         return [
@@ -242,16 +263,20 @@ def _optimize_cells(kind, family: ChannelFamily, cells, shots: int, input_mode: 
                 1,
                 True,
             )
-            for e0, e1 in cells
+            for kind, (e0, e1), _ in problems
         ]
-    d, mode = _layout(kind, shots, input_mode)
-    eta0 = np.array([e0 for e0, _ in cells], dtype=float)
-    eta1 = np.array([e1 for _, e1 in cells], dtype=float)
-    return maximize_batch(
-        lambda cell, x: values(kind, family, eta0[cell], eta1[cell], x, mode),
-        d,
-        opt_cfgs,
-    )
+    groups: dict = {}
+    for i, (kind, _, _) in enumerate(problems):
+        groups.setdefault(_layout(StrategyKind(kind), shots, input_mode), []).append(i)
+    results = [None] * len(problems)
+    for (d, mode), members in groups.items():
+        kinds, cells, cfgs = zip(*(problems[i] for i in members))
+        objective = values_objective(
+            kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], d, mode
+        )
+        for i, res in zip(members, maximize_batch(objective, d, cfgs)):
+            results[i] = res
+    return results
 
 
 def optimize_strategy(
@@ -273,9 +298,7 @@ def optimize_strategy(
         raise ValueError(
             f"channel families differ: {spec0.family.value} vs {spec1.family.value}"
         )
-    res = _optimize_cells(
-        kind, spec0.family, [(spec0.eta, spec1.eta)], shots, input_mode, [opt_cfg]
-    )[0]
+    res = _optimize([(kind, (spec0.eta, spec1.eta), opt_cfg)], spec0.family, shots, input_mode)[0]
     return res.best_value, tuple(float(v) for v in res.best_point), res.evaluations
 
 
@@ -313,9 +336,7 @@ def _curve_task(payload) -> tuple[list[ResultRow], int]:
             extra_starts=extra,
         )
         t0 = time.perf_counter()
-        res = _optimize_cells(
-            strategy, cfg.family, [point], shots, cfg.input_mode, [opt_cfg]
-        )[0]
+        res = _optimize([(strategy, point, opt_cfg)], cfg.family, shots, cfg.input_mode)[0]
         elapsed = time.perf_counter() - t0
         r_values = tuple(float(v) for v in res.best_point)
         missed += not res.converged
@@ -361,7 +382,12 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def _sweep_task(payload) -> tuple[list[SweepRow], int]:
-    """Rows of a run of grid cells, and how many optimizations missed."""
+    """Rows of a run of grid cells, and how many optimizations missed.
+
+    Both strategies of every cell are problems of one :func:`_optimize`
+    call: one lockstep search in flat mode, one per parameter count in
+    adaptive mode.
+    """
     cfg, cells, seeds = payload
     opt_cfgs = [
         OptimizerConfig(
@@ -372,12 +398,13 @@ def _sweep_task(payload) -> tuple[list[SweepRow], int]:
         )
         for seed in seeds
     ]
-    bayes = _optimize_cells(
-        "bayesian", cfg.family, cells, SWEEP_SHOTS, cfg.input_mode, opt_cfgs
-    )
-    markov = _optimize_cells(
-        "markovian", cfg.family, cells, SWEEP_SHOTS, cfg.input_mode, opt_cfgs
-    )
+    problems = [
+        (kind, cell, opt_cfg)
+        for kind in ("bayesian", "markovian")
+        for cell, opt_cfg in zip(cells, opt_cfgs)
+    ]
+    results = _optimize(problems, cfg.family, SWEEP_SHOTS, cfg.input_mode)
+    bayes, markov = results[: len(cells)], results[len(cells) :]
     rows = [
         SweepRow(e0, e1, b.best_value, m.best_value, b.best_value - m.best_value)
         for (e0, e1), b, m in zip(cells, bayes, markov)
@@ -390,8 +417,10 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
 
     Cells are restricted to the lower triangle eta0 > eta1; both sides are
     input-optimized independently, each cell with its own seed. ``jobs``
-    splits the cells into that many contiguous runs, each optimized in one
-    lockstep search per strategy.
+    splits the cells into that many contiguous runs. The searches of a run
+    share one lockstep over the cells of both strategies (two in adaptive
+    mode, where the strategies differ in parameter count), and give each
+    cell the same result as a search of its own.
     """
     if cfg.grid is None:
         raise ConfigError("sweep-diff requires a grid specification")
@@ -666,7 +695,7 @@ def _check_p_succ(rec: dict) -> None:
 def read_records_csv(fh) -> list[dict]:
     fields = None
     records = []
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -674,6 +703,10 @@ def read_records_csv(fh) -> list[dict]:
             fields = line.split(",")
             continue
         cells = line.split(",")
+        if len(cells) != len(fields):
+            raise ValueError(
+                f"line {lineno} has {len(cells)} cells, the header {len(fields)}"
+            )
         rec = {}
         for key, cell in zip(fields, cells):
             if key in _STR_FIELDS:

@@ -17,8 +17,9 @@ that returns the success probability and the nodes it reaches, each with
 its posterior, measurement and traces ``Tr(rho_c pi0)``. ``*_value`` return
 the walk's success probability, ``eval_*`` the measurement tree built from
 its nodes, and :func:`simulate_protocol` samples outcomes from its traces.
-:func:`values` computes the success probability of many schedules and
-channel pairs at once, level by level; the input optimizer calls it.
+:func:`values_objective` builds the function that computes the success
+probability of many schedules, channel pairs and strategies at once, level
+by level; the input optimizer calls it, and :func:`values` wraps it.
 
 The feedforward values are continuous across the exact ties of the one-shot
 rule (see :mod:`helstrom`), but not where a node's lam0 changes sign off a
@@ -37,7 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ETA_MAX, ChannelFamily, ChannelSpec, _entries_batch, output_entries
+from .channels import (
+    ETA_MAX,
+    ChannelFamily,
+    ChannelSpec,
+    _entries_batch,
+    _eta_terms,
+    output_entries,
+)
 from .helstrom import Povm, PovmCase, _build_povm, _shot_batch, success_and_traces
 
 __all__ = [
@@ -56,6 +64,7 @@ __all__ = [
     "simulate_protocol",
     "strategy_value",
     "values",
+    "values_objective",
 ]
 
 GLOBAL_SHOT_CAP = 10
@@ -400,64 +409,123 @@ def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
     return [slice(0, 1)] + [slice(2 * k - 1, 2 * k + 1) for k in range(1, (d + 1) // 2)]
 
 
+def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
+    """Success probabilities of many problems' schedules, as one function.
+
+    Problem j is the strategy ``kinds[j]`` on the channel pair ``(eta0[j],
+    eta1[j])`` of ``family``, with schedules of ``d`` values laid out in
+    ``mode`` as :func:`values` reads them. Everything but the schedules is
+    checked here, once, and the eta factors of the outputs are computed
+    once. Returns ``f(problem, r_rows)``, the objective that
+    :func:`~qcdisc.optimizer.maximize_batch` takes: it checks only that r
+    lies in [0, 1], and returns the success probability of row i, problem
+    ``problem[i]`` at the schedule ``r_rows[i]``.
+
+    Bayesian and Markovian problems may mix where their schedules share a
+    layout (flat, or adaptive up to two shots) and then run in one walk,
+    level by level over all rows and nodes: every output is built once, the
+    one-shot kernel of :mod:`helstrom` takes unnormalized weights, and the
+    last shot yields only its success. A Markovian row keeps its weights,
+    merged by last outcome, in nodes 0 and 1 of the Bayesian node layout,
+    and zeros in the others; the layout is only as wide as the rows of a
+    call need. A row's value does not depend on the other rows, nor on
+    their kinds. The global strategy mixes with no other; it calls
+    :func:`global_value` per row.
+    """
+    kinds = [StrategyKind(k) for k in kinds]
+    family = ChannelFamily(family)
+    mode = ScheduleMode(mode)
+    eta0 = np.asarray(eta0, dtype=float)
+    eta1 = np.asarray(eta1, dtype=float)
+    if not eta0.shape == eta1.shape == (len(kinds),):
+        raise ScheduleError(
+            f"expected {len(kinds)} eta pairs, got {eta0.shape} and {eta1.shape}"
+        )
+    if d < 1:
+        raise ScheduleError(f"a schedule needs at least one value, got {d}")
+    eta = np.array((eta0, eta1))
+    hi = ETA_MAX[family]
+    if not ((eta >= 0.0) & (eta <= hi)).all():
+        raise ValueError(f"eta out of range [0, {hi:.6g}] for {family.value}")
+    if StrategyKind.GLOBAL in kinds:
+        return _global_objective(kinds, family, eta, mode)
+    layouts = [_level_columns(k, mode, d) for k in set(kinds)]
+    if any(lay != layouts[0] for lay in layouts):
+        raise ScheduleError(f"bayesian and markovian schedules of {d} values differ in layout")
+    levels = layouts[0] if layouts else [slice(0, 1)]  # no problem: no row to walk
+    markov = np.array([k is StrategyKind.MARKOVIAN for k in kinds], dtype=float)
+    if not markov.all() and len(levels) > BAYES_SHOT_CAP:
+        raise ValueError(f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {len(levels)}")
+    terms = np.array(_eta_terms(family, eta))  # (term, channel, problem)
+
+    def walk(problem, r_rows):
+        r_rows = np.asarray(r_rows, dtype=float)
+        if not ((r_rows >= 0.0) & (r_rows <= 1.0)).all():
+            raise ScheduleError("r must be in [0, 1]")
+        rows = len(r_rows)
+        mrow = markov.take(problem)  # 1.0 on a Markovian row, else 0.0
+        markov_rows = np.count_nonzero(mrow)
+        # Arrays are (channel, node or column, row), rows last for long numpy
+        # loops; a node per outcome history, or per last outcome.
+        rho00, rho11, x = _entries_batch(family, terms.take(problem, axis=2)[:, :, None], r_rows.T)
+        z = 0.5 * (rho00 - rho11)
+        w = np.ones((2, 1, 1))
+        for cols in levels[:-1]:
+            wt = w * _shot_batch(w, z[:, cols], x[:, cols], False)
+            # Node i's children by outcome, 2i and 2i + 1.
+            nodes = wt.shape[1]
+            w = np.concatenate((wt[:, :, None], (w - wt)[:, :, None]), axis=2)
+            w = w.reshape(2, 2 * nodes, rows)
+            if nodes > 1 and markov_rows:
+                # A Markovian row merges the children of its nodes 0 and 1
+                # by outcome. Adding 0 * w and scaling by 1 keep the bits of
+                # a Bayesian row.
+                if markov_rows == rows:
+                    w = w[:, :2] + w[:, 2:4]
+                else:
+                    w[:, :2] += mrow * w[:, 2:4]
+                    w[:, 2:4] *= 1.0 - mrow
+        p = _shot_batch(w, z[:, levels[-1]], x[:, levels[-1]], True)
+        while len(p) > 1:  # pairwise over the nodes, alike in every batch
+            p = p[0::2] + p[1::2]
+        return 0.5 * p[0]
+
+    return walk
+
+
+def _global_objective(kinds, family, eta, mode):
+    """The objective of :func:`values_objective` for global problems."""
+    if set(kinds) != {StrategyKind.GLOBAL}:
+        raise ScheduleError("global problems share no walk with the other strategies")
+    if mode is not ScheduleMode.FLAT:
+        raise ScheduleError("global strategy takes a flat schedule")
+    specs = [(ChannelSpec(family, e0), ChannelSpec(family, e1)) for e0, e1 in eta.T]
+
+    def per_row(problem, r_rows):
+        return np.array([
+            global_value(*specs[j], InputSchedule.flat(r)) for j, r in zip(problem, r_rows)
+        ])
+
+    return per_row
+
+
 def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarray:
     """Success probabilities of many schedules at once.
 
     Row i of ``r_rows`` is a schedule for the channel pair
     ``(eta0[i], eta1[i])`` of ``family``: one r per shot in flat ``mode``,
     otherwise the adaptive levels concatenated (1, 2, 4, ... values for the
-    Bayesian strategy, 1, 2, 2, ... for the Markovian). The Bayesian and
-    Markovian walks run level by level over all rows and nodes: every
-    output is built once, the one-shot kernel of :mod:`helstrom` takes
-    unnormalized weights, and the last shot yields only its success. They
+    Bayesian strategy, 1, 2, 2, ... for the Markovian). Each row is its own
+    problem of :func:`values_objective`. The Bayesian and Markovian values
     agree with :func:`bayesian_value` and :func:`markovian_value` to 1e-14,
-    not bit for bit, and a row's value does not depend on the other rows.
-    The global strategy calls :func:`global_value` per row.
+    not bit for bit.
     """
-    kind = StrategyKind(kind)
-    family = ChannelFamily(family)
-    mode = ScheduleMode(mode)
     r_rows = np.asarray(r_rows, dtype=float)
-    eta0 = np.asarray(eta0, dtype=float)
-    eta1 = np.asarray(eta1, dtype=float)
+    if r_rows.ndim != 2:
+        raise ScheduleError(f"expected (rows, d) schedules, got {r_rows.shape}")
     rows = len(r_rows)
-    if r_rows.ndim != 2 or r_rows.shape[1] < 1 or not eta0.shape == eta1.shape == (rows,):
-        raise ScheduleError(
-            f"expected (rows, d) schedules and (rows,) etas, got {r_rows.shape}, "
-            f"{eta0.shape} and {eta1.shape}"
-        )
-    if not ((r_rows >= 0.0) & (r_rows <= 1.0)).all():
-        raise ScheduleError("r must be in [0, 1]")
-    eta = np.array((eta0, eta1))
-    hi = ETA_MAX[family]
-    if not ((eta >= 0.0) & (eta <= hi)).all():
-        raise ValueError(f"eta out of range [0, {hi:.6g}] for {family.value}")
-    if kind is StrategyKind.GLOBAL:
-        if mode is not ScheduleMode.FLAT:
-            raise ScheduleError("global strategy takes a flat schedule")
-        return np.array([
-            global_value(ChannelSpec(family, e0), ChannelSpec(family, e1), InputSchedule.flat(r))
-            for e0, e1, r in zip(eta0, eta1, r_rows)
-        ])
-    bayes = kind is StrategyKind.BAYESIAN
-    levels = _level_columns(kind, mode, r_rows.shape[1])
-    if bayes and len(levels) > BAYES_SHOT_CAP:
-        raise ValueError(f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {len(levels)}")
-    # Arrays are (channel, node or column, row), rows last for long numpy
-    # loops; a node per outcome history (Bayesian) or last outcome (Markovian).
-    rho00, rho11, x = _entries_batch(family, eta[:, None, :], r_rows.T)
-    z = 0.5 * (rho00 - rho11)
-    w = np.ones((2, 1, 1))
-    for cols in levels[:-1]:
-        wt = w * _shot_batch(w, z[:, cols], x[:, cols], False)
-        # Node i's children by outcome, 2i and 2i + 1, or merged by outcome.
-        w = np.concatenate((wt[:, :, None], (w - wt)[:, :, None]), axis=2)
-        merge = not bayes and wt.shape[1] == 2
-        w = w[:, 0] + w[:, 1] if merge else w.reshape(2, 2 * wt.shape[1], rows)
-    p = _shot_batch(w, z[:, levels[-1]], x[:, levels[-1]], True)
-    while len(p) > 1:  # pairwise over the nodes, alike in every batch
-        p = p[0::2] + p[1::2]
-    return 0.5 * p[0]
+    f = values_objective([StrategyKind(kind)] * rows, family, eta0, eta1, r_rows.shape[1], mode)
+    return f(np.arange(rows), r_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import qcdisc.experiments as experiments
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec
-from qcdisc.strategies import InputSchedule, strategy_value
+from qcdisc.cli import main
+from qcdisc.optimizer import OptimizerConfig, maximize_batch
+from qcdisc.strategies import InputSchedule, strategy_value, values_objective
 from qcdisc.experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
@@ -173,6 +177,45 @@ def test_sweep_adaptive_damping_with_subnormal_inputs():
         assert 0.5 - 1e-12 <= row.p_markov <= row.p_bayes + 1e-9 <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("input_mode", ["flat", "adaptive"])
+def test_sweep_rows_equal_per_strategy_searches(input_mode):
+    # One lockstep search over both strategies gives each cell exactly what
+    # a search of its own per strategy gives, with the seed the sweep sets.
+    cfg = make_config("bit-flip", grid=(0.0, 1.0, 4), input_mode=input_mode, seed=3)
+    rows = run_sweep_diff(cfg)
+    assert len(rows) == 6
+    for i, row in enumerate(rows):
+        opt_cfg = OptimizerConfig(seed=cfg.seed + 104729 * i)
+        specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
+        pb = optimize_strategy("bayesian", *specs, 3, input_mode, opt_cfg)[0]
+        pm = optimize_strategy("markovian", *specs, 3, input_mode, opt_cfg)[0]
+        assert (row.p_bayes, row.p_markov, row.diff) == (pb, pm, pb - pm)
+
+
+def test_one_search_over_both_kinds_equals_one_per_kind(rng):
+    family = ChannelFamily.AMPLITUDE_DAMPING
+    eta0, eta1 = [1.4, 1.2, 0.9, 0.5], [0.3, 1.1, 0.2, 0.4]
+    cfgs = [OptimizerConfig(seed=s) for s in range(4)]
+    alone = {
+        kind: maximize_batch(values_objective([kind] * 4, family, eta0, eta1, 3), 3, cfgs)
+        for kind in ("bayesian", "markovian")
+    }
+    problems = [(kind, j) for kind in alone for j in range(4)]
+    order = rng.permutation(len(problems))
+    kinds = [problems[i][0] for i in order]
+    cells = [problems[i][1] for i in order]
+    objective = values_objective(
+        kinds, family, [eta0[j] for j in cells], [eta1[j] for j in cells], 3
+    )
+    merged = maximize_batch(objective, 3, [cfgs[j] for j in cells])
+    for kind, j, got in zip(kinds, cells, merged):
+        want = alone[kind][j]
+        assert np.array_equal(got.best_point, want.best_point)
+        assert (got.best_value, got.evaluations, got.converged) == (
+            want.best_value, want.evaluations, want.converged
+        )
+
+
 def test_sweep_warns_when_optimizations_miss(capsys):
     run_sweep_diff(make_config("bit-flip", grid=(0.0, 1.0, 3), max_evals=8))
     assert "warning: 6 of 6 optimizations did not converge" in capsys.readouterr().err
@@ -242,6 +285,13 @@ def test_read_back_rejects_corrupt_success_probability():
     corrupted = buf.getvalue().replace("0.5875", "0.3")
     with pytest.raises(ValueError):
         read_records_csv(io.StringIO(corrupted))
+
+
+def test_read_back_rejects_rows_of_the_wrong_length():
+    header = "# qcdisc\neta0,eta1,p_bayes,p_markov,diff\n0.5,0.1,0.7,0.7,0\n"
+    for bad in ("0.5,0.1,0.7,0.7", "0.5,0.1,0.7,0.7,0,0.1"):
+        with pytest.raises(ValueError, match="line 4"):
+            read_records_csv(io.StringIO(header + bad + "\n"))
 
 
 def test_sweep_rows_round_trip():
@@ -332,6 +382,28 @@ def test_cli_bad_config_exits_2():
     proc = run_cli("curve", "--family", "bit-flip", "--eta0", "0.4", "--eta1", "0.4", "--n-max", "1")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("cmd,settings", [
+    ("sweep-diff", {"grid": [0, 1, "x"]}),
+    ("curve", {"points": [[0.7]]}),
+    ("curve", {"points": [[0.7, 0.3]], "n_max": "abc"}),
+])
+def test_cli_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, cmd, settings):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "bit-flip", **settings}))
+    assert main([cmd, "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_rejects_unknown_format(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "depolarizing", "points": [[0.75, 0.4]],
+                                    "format": "xml"}))
+    out = tmp_path / "rows.xml"
+    assert main(["curve", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "format must be csv or json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_family_exits_2():

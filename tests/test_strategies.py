@@ -24,6 +24,7 @@ from qcdisc.strategies import (
     simulate_protocol,
     strategy_value,
     values,
+    values_objective,
 )
 from qcdisc.strategies import _bayesian_walk, _global_measurement, _kron_chain, _markovian_walk
 
@@ -533,3 +534,39 @@ def test_batched_values_validation():
     with pytest.raises(ValueError):
         values("bayesian", family, [0.7], [0.3], np.full((1, BAYES_SHOT_CAP + 1), 0.5))
     assert values("markovian", family, [], [], np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("mode,shots", [("flat", 3), ("flat", 5), ("adaptive", 2)])
+def test_objective_mixes_kinds_bit_for_bit(rng, family, mode, shots):
+    # Bayesian and Markovian problems in one objective, rows shuffled: every
+    # row equals its single-kind value exactly, in mixed, all-Bayesian and
+    # all-Markovian calls alike.
+    pairs = [random_spec_pair(rng, family) for _ in range(12)]
+    eta0 = np.array([s0.eta for s0, _ in pairs])
+    eta1 = np.array([s1.eta for _, s1 in pairs])
+    kinds = rng.permutation(["bayesian", "markovian"] * 6)
+    d = shots if mode == "flat" else 3  # both kinds lay out 1 + 2 values
+    f = values_objective(kinds, family, eta0, eta1, d, mode)
+    everyone = np.arange(12)
+    for subset in (everyone, everyone[kinds == "bayesian"], everyone[kinds == "markovian"]):
+        problem = rng.permutation(np.repeat(subset, 3))
+        r_rows = random_rows(rng, "bayesian", mode, shots, len(problem))
+        got = f(problem, r_rows)
+        for kind in ("bayesian", "markovian"):
+            mine = kinds[problem] == kind
+            j = problem[mine]
+            assert np.array_equal(got[mine], values(kind, family, eta0[j], eta1[j], r_rows[mine], mode))
+
+
+def test_objective_validation():
+    family = ChannelFamily.BIT_FLIP
+    with pytest.raises(ScheduleError):
+        values_objective(["global", "bayesian"], family, [0.7, 0.7], [0.3, 0.3], 3)
+    with pytest.raises(ScheduleError):  # 3 Bayesian shots against 4 Markovian ones
+        values_objective(["bayesian", "markovian"], family, [0.7, 0.7], [0.3, 0.3], 7, "adaptive")
+    with pytest.raises(ValueError):
+        values_objective(["markovian", "markovian"], family, [0.7, 1.3], [0.3, 0.3], 2)
+    f = values_objective(["bayesian", "markovian"], family, [0.7, 0.7], [0.3, 0.3], 2)
+    with pytest.raises(ScheduleError):
+        f(np.array([0, 1]), [[0.5, 0.5], [0.5, -0.1]])
