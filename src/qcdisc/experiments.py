@@ -137,12 +137,16 @@ def _eta_scale(family: ChannelFamily) -> float:
 
 
 def _number(kind, value, name: str):
-    """``kind(value)``, or a :class:`ConfigError` naming the setting."""
+    """``kind(value)``, or a :class:`ConfigError` naming the setting; an
+    integer setting takes no fraction."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return number
 
 
 def make_config(

@@ -388,6 +388,7 @@ def test_cli_bad_config_exits_2():
     ("sweep-diff", {"grid": [0, 1, "x"]}),
     ("curve", {"points": [[0.7]]}),
     ("curve", {"points": [[0.7, 0.3]], "n_max": "abc"}),
+    ("sweep-diff", {"grid": [0, 1, 3.9]}),
 ])
 def test_cli_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, cmd, settings):
     cfg_file = tmp_path / "cfg.json"
