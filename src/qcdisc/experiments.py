@@ -27,6 +27,7 @@ from .strategies import (
     GLOBAL_SHOT_CAP,
     InputSchedule,
     StrategyKind,
+    level_widths,
     simulate_protocol,
     strategy_value,
     values_objective,
@@ -241,8 +242,7 @@ def make_config(
 def _layout(kind: StrategyKind, shots: int, input_mode: str) -> tuple[int, str]:
     """Parameter count and schedule mode of a strategy's input search."""
     if input_mode == "adaptive" and kind is not StrategyKind.GLOBAL:
-        # One r per history node (Bayesian) or per last outcome (Markovian).
-        d = 2**shots - 1 if kind is StrategyKind.BAYESIAN else 2 * shots - 1
+        d = sum(level_widths(kind, input_mode, shots))
         if d <= ADAPTIVE_PARAM_CAP:
             return d, "adaptive"
         # Too many free parameters: tie them per shot.
@@ -314,6 +314,12 @@ def _warn_unconverged(missed: int, total: int) -> None:
         )
 
 
+def _opt_config(cfg: ExperimentConfig, seed: int, extra_starts=()) -> OptimizerConfig:
+    """The search settings of ``cfg``, with one search's seed and warm starts."""
+    return OptimizerConfig(value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed,
+                           max_starts=cfg.max_starts, extra_starts=extra_starts)
+
+
 def _curve_task(payload) -> tuple[list[ResultRow], int]:
     """Rows of one (point, strategy) pair, and how many did not converge."""
     cfg, point_index, strategy = payload
@@ -332,13 +338,7 @@ def _curve_task(payload) -> tuple[list[ResultRow], int]:
         extra = ()
         if prev_best is not None and len(prev_best) == shots - 1:
             extra = tuple(prev_best + (v,) for v in (0.0, 0.5, 1.0))
-        opt_cfg = OptimizerConfig(
-            value_tol=cfg.value_tol,
-            max_evals=cfg.max_evals,
-            seed=cfg.seed + 7919 * point_index,
-            max_starts=cfg.max_starts,
-            extra_starts=extra,
-        )
+        opt_cfg = _opt_config(cfg, cfg.seed + 7919 * point_index, extra)
         t0 = time.perf_counter()
         res = _optimize([(strategy, point, opt_cfg)], cfg.family, shots, cfg.input_mode)[0]
         elapsed = time.perf_counter() - t0
@@ -370,19 +370,12 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
         (cfg, pi, strat) for pi in range(len(cfg.points)) for strat in cfg.strategies
     ]
     groups = _map_tasks(_curve_task, payloads, cfg.jobs)
-    by_key = {}
-    for (_, pi, strat), (rows, _) in zip(payloads, groups):
-        for row in rows:
-            by_key[(pi, row.n, strat)] = row
-    ordered = []
-    for pi in range(len(cfg.points)):
-        for shots in range(1, cfg.n_max + 1):
-            for strat in cfg.strategies:
-                row = by_key.get((pi, shots, strat))
-                if row is not None:
-                    ordered.append(row)
-    _warn_unconverged(sum(missed for _, missed in groups), len(ordered))
-    return ordered
+    # Payloads come strategy by strategy in configured order, so a stable
+    # sort by (point, n) orders the rows by (point, n, strategy).
+    keyed = [(pi, row) for (_, pi, _), (rows, _) in zip(payloads, groups) for row in rows]
+    keyed.sort(key=lambda item: (item[0], item[1].n))
+    _warn_unconverged(sum(missed for _, missed in groups), len(keyed))
+    return [row for _, row in keyed]
 
 
 def _sweep_task(payload) -> tuple[list[SweepRow], int]:
@@ -393,19 +386,10 @@ def _sweep_task(payload) -> tuple[list[SweepRow], int]:
     adaptive mode.
     """
     cfg, cells, seeds = payload
-    opt_cfgs = [
-        OptimizerConfig(
-            value_tol=cfg.value_tol,
-            max_evals=cfg.max_evals,
-            seed=seed,
-            max_starts=cfg.max_starts,
-        )
-        for seed in seeds
-    ]
     problems = [
-        (kind, cell, opt_cfg)
+        (kind, cell, _opt_config(cfg, seed))
         for kind in ("bayesian", "markovian")
-        for cell, opt_cfg in zip(cells, opt_cfgs)
+        for cell, seed in zip(cells, seeds)
     ]
     results = _optimize(problems, cfg.family, SWEEP_SHOTS, cfg.input_mode)
     bayes, markov = results[: len(cells)], results[len(cells) :]

@@ -21,6 +21,9 @@ its nodes, and :func:`simulate_protocol` samples outcomes from its traces.
 probability of many schedules, channel pairs and strategies at once, level
 by level; the input optimizer calls it, and :func:`values` wraps it.
 
+:func:`level_widths` is the one description of how many input values each
+shot gets, the only difference between the two feedforward schedules.
+
 The feedforward values are continuous across the exact ties of the one-shot
 rule (see :mod:`helstrom`), but not where a node's lam0 changes sign off a
 tie: on one side the node measures and informs later shots, on the other
@@ -60,6 +63,7 @@ __all__ = [
     "eval_global",
     "eval_markovian",
     "global_value",
+    "level_widths",
     "markovian_value",
     "simulate_protocol",
     "strategy_value",
@@ -147,25 +151,44 @@ class StrategyEval:
     posteriors: dict = field(repr=False)
 
 
-def _require_pair(eta0: ChannelSpec, eta1: ChannelSpec):
+def level_widths(kind, mode, shots: int) -> list:
+    """Input values per shot of a ``kind`` schedule in ``mode``: one when
+    flat; when adaptive, one per node of the walk, that is per outcome
+    history (Bayesian: 1, 2, 4, ...) or per last outcome (Markovian: 1, 2,
+    2, ...)."""
+    if ScheduleMode(mode) is ScheduleMode.FLAT:
+        return [1] * shots
+    kind = StrategyKind(kind)
+    if kind is StrategyKind.GLOBAL:
+        raise ScheduleError("global strategy takes a flat schedule")
+    return [2**k if kind is StrategyKind.BAYESIAN else min(2**k, 2) for k in range(shots)]
+
+
+_SHOT_CAP = {
+    StrategyKind.GLOBAL: GLOBAL_SHOT_CAP,
+    StrategyKind.BAYESIAN: BAYES_SHOT_CAP,
+    StrategyKind.MARKOVIAN: float("inf"),
+}
+
+
+def _check_shots(kind: StrategyKind, shots: int):
+    if shots > _SHOT_CAP[kind]:
+        raise ValueError(f"{kind.value} strategy capped at {_SHOT_CAP[kind]} shots, got {shots}")
+
+
+def _check(kind: StrategyKind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule):
+    """Reject channels of two families, a schedule laid out for another
+    strategy, or more shots than the cap of ``kind``."""
     if eta0.family is not eta1.family:
         raise ValueError(
             f"channel families differ: {eta0.family.value} vs {eta1.family.value}"
         )
-
-
-def _check_schedule(sched: InputSchedule, kind: StrategyKind):
-    if sched.mode is ScheduleMode.FLAT:
-        return
-    if kind is StrategyKind.GLOBAL:
-        raise ScheduleError("global strategy takes a flat schedule")
-    for k, level in enumerate(sched.levels):
-        want = 2**k if kind is StrategyKind.BAYESIAN else min(2**k, 2)
-        if len(level) != want:
-            raise ScheduleError(
-                f"adaptive level {k} holds {len(level)} values, "
-                f"{kind.value} needs {want}"
-            )
+    if sched.mode is not ScheduleMode.FLAT:
+        want = level_widths(kind, sched.mode, sched.shots)
+        got = [len(level) for level in sched.levels]
+        if got != want:
+            raise ScheduleError(f"adaptive levels hold {got} values, {kind.value} needs {want}")
+    _check_shots(kind, sched.shots)
 
 
 def _matrix(s) -> np.ndarray:
@@ -205,18 +228,9 @@ def _global_products(eta0, eta1, sched):
     return r0, r1
 
 
-def _check_global(eta0, eta1, sched):
-    _require_pair(eta0, eta1)
-    _check_schedule(sched, StrategyKind.GLOBAL)
-    if sched.shots > GLOBAL_SHOT_CAP:
-        raise ValueError(
-            f"global strategy capped at {GLOBAL_SHOT_CAP} shots, got {sched.shots}"
-        )
-
-
 def _global_measurement(eta0, eta1, sched):
     """The collective measurement and its traces Tr(rho0 pi0), Tr(rho1 pi1)."""
-    _check_global(eta0, eta1, sched)
+    _check(StrategyKind.GLOBAL, eta0, eta1, sched)
     r0, r1 = _global_products(eta0, eta1, sched)
     delta = 0.5 * (r0 - r1)
     vals, vecs = np.linalg.eigh(delta)
@@ -242,7 +256,7 @@ def eval_global(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> S
 
 def global_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
     """Success probability of the collective measurement, eigenvalues only."""
-    _check_global(eta0, eta1, sched)
+    _check(StrategyKind.GLOBAL, eta0, eta1, sched)
     r0, r1 = _global_products(eta0, eta1, sched)
     vals = np.linalg.eigvalsh(0.5 * (r0 - r1))
     return 0.5 + float(vals[vals >= 0.0].sum())
@@ -250,15 +264,6 @@ def global_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> 
 
 # ---------------------------------------------------------------------------
 # bayesian strategy
-
-
-def _check_bayes(eta0, eta1, sched):
-    _require_pair(eta0, eta1)
-    _check_schedule(sched, StrategyKind.BAYESIAN)
-    if sched.shots > BAYES_SHOT_CAP:
-        raise ValueError(
-            f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {sched.shots}"
-        )
 
 
 def _node_pair(eta0, eta1, sched, pairs, k: int, i: int):
@@ -281,7 +286,7 @@ def _bayesian_walk(eta0, eta1, sched):
     t1)`` for each node reached, in visiting order, with ``n`` the Bloch
     vector of its projector as :func:`success_and_traces` returns it.
     """
-    _check_bayes(eta0, eta1, sched)
+    _check(StrategyKind.BAYESIAN, eta0, eta1, sched)
     last = sched.shots - 1
     pairs = _flat_pairs(eta0, eta1, sched) if sched.mode is ScheduleMode.FLAT else None
     nodes = []
@@ -332,11 +337,6 @@ def bayesian_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -
 # markovian strategy
 
 
-def _check_markov(eta0, eta1, sched):
-    _require_pair(eta0, eta1)
-    _check_schedule(sched, StrategyKind.MARKOVIAN)
-
-
 def _markovian_walk(eta0, eta1, sched):
     """Last-outcome feedforward, histories marginalized.
 
@@ -346,7 +346,7 @@ def _markovian_walk(eta0, eta1, sched):
     chosen measurement. The final outcome is the guess. Returns
     ``(p_succ, nodes)`` as :func:`_bayesian_walk` does.
     """
-    _check_markov(eta0, eta1, sched)
+    _check(StrategyKind.MARKOVIAN, eta0, eta1, sched)
     pairs = _flat_pairs(eta0, eta1, sched) if sched.mode is ScheduleMode.FLAT else None
     nodes = []
     # (weight under channel 0, under channel 1) per last outcome; before the
@@ -397,16 +397,12 @@ def strategy_value(kind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSched
 
 def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
     """Column slice of each shot's r values in a parameter row of length d."""
-    if mode is ScheduleMode.FLAT:
-        return [slice(k, k + 1) for k in range(d)]
-    if kind is StrategyKind.BAYESIAN:
-        shots = (d + 1).bit_length() - 1
-        if 2**shots - 1 != d:
-            raise ScheduleError(f"{d} adaptive bayesian parameters fit no shot count")
-        return [slice(2**k - 1, 2 ** (k + 1) - 1) for k in range(shots)]
-    if d % 2 == 0:
-        raise ScheduleError(f"{d} adaptive markovian parameters fit no shot count")
-    return [slice(0, 1)] + [slice(2 * k - 1, 2 * k + 1) for k in range(1, (d + 1) // 2)]
+    widths = level_widths(kind, mode, 1)
+    while sum(widths) < d:  # every shot takes at least one value
+        widths = level_widths(kind, mode, len(widths) + 1)
+    if sum(widths) != d:
+        raise ScheduleError(f"{d} {mode.value} {kind.value} parameters fit no shot count")
+    return [slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist())]
 
 
 def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
@@ -441,21 +437,19 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
         raise ScheduleError(
             f"expected {len(kinds)} eta pairs, got {eta0.shape} and {eta1.shape}"
         )
-    if d < 1:
-        raise ScheduleError(f"a schedule needs at least one value, got {d}")
     eta = np.array((eta0, eta1))
     hi = ETA_MAX[family]
     if not ((eta >= 0.0) & (eta <= hi)).all():
         raise ValueError(f"eta out of range [0, {hi:.6g}] for {family.value}")
-    if StrategyKind.GLOBAL in kinds:
-        return _global_objective(kinds, family, eta, mode)
     layouts = [_level_columns(k, mode, d) for k in set(kinds)]
     if any(lay != layouts[0] for lay in layouts):
         raise ScheduleError(f"bayesian and markovian schedules of {d} values differ in layout")
     levels = layouts[0] if layouts else [slice(0, 1)]  # no problem: no row to walk
+    for kind in set(kinds):
+        _check_shots(kind, len(levels))
+    if StrategyKind.GLOBAL in kinds:
+        return _global_objective(kinds, family, eta)
     markov = np.array([k is StrategyKind.MARKOVIAN for k in kinds], dtype=float)
-    if not markov.all() and len(levels) > BAYES_SHOT_CAP:
-        raise ValueError(f"bayesian strategy capped at {BAYES_SHOT_CAP} shots, got {len(levels)}")
     terms = np.array(_eta_terms(family, eta))  # (term, channel, problem)
 
     def walk(problem, r_rows):
@@ -493,12 +487,10 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
     return walk
 
 
-def _global_objective(kinds, family, eta, mode):
+def _global_objective(kinds, family, eta):
     """The objective of :func:`values_objective` for global problems."""
     if set(kinds) != {StrategyKind.GLOBAL}:
         raise ScheduleError("global problems share no walk with the other strategies")
-    if mode is not ScheduleMode.FLAT:
-        raise ScheduleError("global strategy takes a flat schedule")
     specs = [(ChannelSpec(family, e0), ChannelSpec(family, e1)) for e0, e1 in eta.T]
 
     def per_row(problem, r_rows):
@@ -513,9 +505,8 @@ def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarr
     """Success probabilities of many schedules at once.
 
     Row i of ``r_rows`` is a schedule for the channel pair
-    ``(eta0[i], eta1[i])`` of ``family``: one r per shot in flat ``mode``,
-    otherwise the adaptive levels concatenated (1, 2, 4, ... values for the
-    Bayesian strategy, 1, 2, 2, ... for the Markovian). Each row is its own
+    ``(eta0[i], eta1[i])`` of ``family``, its shots' values concatenated as
+    :func:`level_widths` lays them out in ``mode``. Each row is its own
     problem of :func:`values_objective`. The Bayesian and Markovian values
     agree with :func:`bayesian_value` and :func:`markovian_value` to 1e-14,
     not bit for bit.
@@ -561,7 +552,7 @@ def simulate_protocol(
     # channel c; a node the walk never reached keeps 0.5 and is never sampled.
     bayes = kind is StrategyKind.BAYESIAN
     _, nodes = (_bayesian_walk if bayes else _markovian_walk)(eta0, eta1, sched)
-    prob0 = [np.full((2, 2**k if bayes else 2), 0.5) for k in range(sched.shots)]
+    prob0 = [np.full((2, w), 0.5) for w in level_widths(kind, ScheduleMode.ADAPTIVE, sched.shots)]
     for k, i, _, _, _, t0, t1 in nodes:
         prob0[k][:, i] = t0, t1
     node = np.zeros(trials, dtype=np.int64)
