@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -171,13 +172,21 @@ def _config_from_args(args, needs_points: bool):
         seed=_pick(args, file_cfg, "seed", 0),
         jobs=_pick(args, file_cfg, "jobs", 1),
     )
-    return cfg, writers[fmt], _pick(args, file_cfg, "out", None)
+    out = _pick(args, file_cfg, "out", None)
+    if out:  # checked before the run, which may take hours
+        folder = os.path.dirname(os.path.abspath(out))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
+    return cfg, writers[fmt], out
 
 
 def _emit(rows, fields, cfg, writer, out) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            writer(rows, fields, cfg.as_dict(), fh)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                writer(rows, fields, cfg.as_dict(), fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         writer(rows, fields, cfg.as_dict(), sys.stdout)
 

@@ -212,6 +212,8 @@ def make_config(
         strategies = ()
     if not strategies or any(s not in VALID_STRATEGIES for s in strategies):
         raise ConfigError(f"strategies must be a nonempty subset of {VALID_STRATEGIES}")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError(f"strategies must name each strategy once, got {strategies!r}")
     if input_mode not in ("flat", "adaptive"):
         raise ConfigError(f"input_mode must be flat or adaptive, got {input_mode!r}")
     jobs = _number(int, jobs, "jobs")
@@ -245,7 +247,11 @@ def _layout(kind: StrategyKind, shots: int, input_mode: str) -> tuple[int, str]:
         d = sum(level_widths(kind, input_mode, shots))
         if d <= ADAPTIVE_PARAM_CAP:
             return d, "adaptive"
-        # Too many free parameters: tie them per shot.
+        print(
+            f"warning: {kind.value} inputs tied per shot for n={shots}: an adaptive "
+            f"schedule has {d} parameters (cap {ADAPTIVE_PARAM_CAP})",
+            file=sys.stderr,
+        )
     return shots, "flat"
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import numpy as np
 
+import qcdisc.cli as cli
 import qcdisc.experiments as experiments
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec
 from qcdisc.cli import main
@@ -125,6 +126,27 @@ def test_curve_global_cap_skips_with_warning(monkeypatch, capsys):
         ("markovian", 3),
     ]
     assert "global strategy skipped for n=3" in capsys.readouterr().err
+
+
+def test_curve_adaptive_fallback_to_flat_warns(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "ADAPTIVE_PARAM_CAP", 2)
+    cfg = make_config("bit-flip", points=[(0.75, 0.4)], n_max=2, strategies=("bayesian",),
+                      input_mode="adaptive", max_starts=4)
+    rows = run_curve(cfg)
+    # n = 2 would take 1 + 2 adaptive values; it gets one per shot instead.
+    assert [len(row.r_values) for row in rows] == [1, 2]
+    err = capsys.readouterr().err
+    assert "bayesian inputs tied per shot for n=2" in err
+    assert "n=1" not in err
+
+
+def test_duplicate_strategies_exit_2(capsys):
+    with pytest.raises(ConfigError, match="each strategy once"):
+        make_config("bit-flip", points=[(0.75, 0.4)], strategies=("markovian", "bayesian", "markovian"))
+    argv = ["curve", "--family", "bit-flip", "--eta0", "0.75", "--eta1", "0.4",
+            "--strategies", "markovian,markovian"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_curve_requires_points():
@@ -405,6 +427,20 @@ def test_cli_rejects_unknown_format(tmp_path, capsys):
     assert main(["curve", "--config", str(cfg_file), "--out", str(out)]) == 2
     assert "format must be csv or json" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep_diff", never)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # A path that passes the check but cannot be opened fails at write time.
+    argv = ["curve", "--family", "depolarizing", "--eta0", "0.75", "--eta1", "0.4"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_missing_family_exits_2():
