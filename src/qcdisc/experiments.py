@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -187,6 +188,8 @@ def make_config(
             )
         if raw0 <= raw1:
             raise ConfigError(f"point ({e0:g}, {e1:g}) must satisfy eta0 > eta1")
+    if len(set(raw_points)) != len(raw_points):
+        raise ConfigError(f"points must name each (eta0, eta1) pair once, got {entered_points!r}")
 
     raw_grid = entered_grid = None
     if grid is not None:
@@ -242,17 +245,27 @@ def make_config(
 
 
 def _layout(kind: StrategyKind, shots: int, input_mode: str) -> tuple[int, str]:
-    """Parameter count and schedule mode of a strategy's input search."""
+    """Parameter count and schedule mode of a strategy's input search; an
+    adaptive schedule over ``ADAPTIVE_PARAM_CAP`` parameters is tied per shot."""
     if input_mode == "adaptive" and kind is not StrategyKind.GLOBAL:
         d = sum(level_widths(kind, input_mode, shots))
         if d <= ADAPTIVE_PARAM_CAP:
             return d, "adaptive"
-        print(
-            f"warning: {kind.value} inputs tied per shot for n={shots}: an adaptive "
-            f"schedule has {d} parameters (cap {ADAPTIVE_PARAM_CAP})",
-            file=sys.stderr,
-        )
     return shots, "flat"
+
+
+_HALF_PI = 0.5 * math.pi
+
+
+def _to_r(x):
+    """The input r of the search coordinate x in [0, 1]: r = sin^2(pi x / 2),
+    with r = 0 and 1 exactly at x = 0 and 1."""
+    return np.sin(_HALF_PI * np.asarray(x, dtype=float)) ** 2
+
+
+def _to_x(r):
+    """The search coordinate of the input r in [0, 1], inverse of :func:`_to_r`."""
+    return np.arcsin(np.sqrt(np.asarray(r, dtype=float))) / _HALF_PI
 
 
 def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
@@ -260,9 +273,13 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
 
     Problems whose searches have the same parameter count and schedule mode
     run in one lockstep search, on one objective built once for all of them;
-    returns one :class:`OptResult` per problem, in order. The depolarizing
-    family is input independent, so each problem is evaluated once at the
-    all-|0> schedule instead.
+    returns one :class:`OptResult` per problem, in order, its ``best_point``
+    in r. The search runs over the angle x with r = sin^2(pi x / 2): every
+    value is even in the angle about both ends of the box, so an optimum at
+    r = 0 or 1, where values move like sqrt(r) or sqrt(1 - r), is a smooth
+    stationary point in x. Warm starts (``extra_starts``) are given in r.
+    The depolarizing family is input independent, so each problem is
+    evaluated once at the all-|0> schedule instead.
     """
     if family is ChannelFamily.DEPOLARIZING:
         sched = InputSchedule.flat((0.0,) * shots)
@@ -277,15 +294,30 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
         ]
     groups: dict = {}
     for i, (kind, _, _) in enumerate(problems):
-        groups.setdefault(_layout(StrategyKind(kind), shots, input_mode), []).append(i)
+        kind = StrategyKind(kind)
+        d, mode = _layout(kind, shots, input_mode)
+        if mode != input_mode and kind is not StrategyKind.GLOBAL:
+            print(
+                f"warning: {kind.value} inputs tied per shot for n={shots}: an adaptive "
+                f"schedule has {sum(level_widths(kind, input_mode, shots))} parameters "
+                f"(cap {ADAPTIVE_PARAM_CAP})",
+                file=sys.stderr,
+            )
+        groups.setdefault((d, mode), []).append(i)
     results = [None] * len(problems)
     for (d, mode), members in groups.items():
         kinds, cells, cfgs = zip(*(problems[i] for i in members))
         objective = values_objective(
             kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], d, mode
         )
-        for i, res in zip(members, maximize_batch(objective, d, cfgs)):
-            results[i] = res
+        cfgs = [
+            dataclasses.replace(cfg, extra_starts=tuple(_to_x(cfg.extra_starts).tolist()))
+            if cfg.extra_starts else cfg
+            for cfg in cfgs
+        ]
+        found = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
+        for i, res in zip(members, found):
+            results[i] = dataclasses.replace(res, best_point=_to_r(res.best_point))
     return results
 
 
@@ -350,6 +382,10 @@ def _curve_task(payload) -> tuple[list[ResultRow], int]:
         elapsed = time.perf_counter() - t0
         r_values = tuple(float(v) for v in res.best_point)
         missed += not res.converged
+        # A feedforward search that _layout tied per shot prints flat.
+        mode = cfg.input_mode
+        if strategy != "global":
+            mode = _layout(StrategyKind(strategy), shots, cfg.input_mode)[1]
         rows.append(
             ResultRow(
                 family=cfg.family.value,
@@ -357,7 +393,7 @@ def _curve_task(payload) -> tuple[list[ResultRow], int]:
                 eta1=point[1],
                 n=shots,
                 strategy=strategy,
-                input_mode=cfg.input_mode,
+                input_mode=mode,
                 p_succ=res.best_value,
                 r_values=r_values,
                 evaluations=res.evaluations,
@@ -429,16 +465,40 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
     return [row for rows, _ in parts for row in rows]
 
 
+# Thread counts of the BLAS libraries numpy may load, set to 1 in workers.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _map_tasks(fn, payloads, jobs: int):
+    """``[fn(p) for p in payloads]``, over ``jobs`` worker processes.
+
+    Workers are spawned, not forked, with one BLAS thread each in their
+    environment, so that ``jobs`` workers run ``jobs`` threads: a stacked
+    eigensolve on several BLAS threads per worker would make the workers
+    compete for the same cores. As with any spawned pool, a script that
+    runs with ``jobs`` > 1 must guard its entry point with
+    ``if __name__ == "__main__":``.
+    """
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     # Imported here: the pool machinery costs about 2 MiB of memory, which a
     # run with one job never uses.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    context = multiprocessing.get_context("spawn")
     chunk = max(1, len(payloads) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            return list(pool.map(fn, payloads, chunksize=chunk))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ __all__ = [
 
 GLOBAL_SHOT_CAP = 10
 BAYES_SHOT_CAP = 14
+# Bytes of output products that one stacked global eigensolve takes at most;
+# a single row of 10 shots (2 x 8 MiB) exceeds it and runs alone.
+_GLOBAL_CHUNK_BYTES = 1 << 24
 
 
 class StrategyKind(str, enum.Enum):
@@ -191,11 +194,6 @@ def _check(kind: StrategyKind, eta0: ChannelSpec, eta1: ChannelSpec, sched: Inpu
     _check_shots(kind, sched.shots)
 
 
-def _matrix(s) -> np.ndarray:
-    """The real symmetric 2x2 matrix of entries ``s``."""
-    return np.array([[s[0], s[2]], [s[2], s[1]]])
-
-
 def _flat_pairs(eta0, eta1, sched):
     return [(output_entries(eta0, r), output_entries(eta1, r)) for r in sched.levels]
 
@@ -204,34 +202,60 @@ def _flat_pairs(eta0, eta1, sched):
 # global strategy
 
 
-def _kron_chain(mats):
-    """Kronecker product of the 2x2 ``mats``, first factor outermost.
+def _kron_stack(mats):
+    """Kronecker products of stacked 2x2 factors, first factor outermost.
 
-    Entry ``(a, b)`` of the next factor scales the whole product so far into
-    the strided block ``[a::2, b::2]`` of the result, in place.
+    ``mats`` has shape ``(..., n, 2, 2)``; returns ``(..., 2**n, 2**n)``.
+    Entry ``(a, b)`` of the next factor scales the whole product so far
+    into the strided block ``[..., a::2, b::2]`` of the result, in place.
     """
-    out = mats[0]
-    for m in mats[1:]:
-        n = out.shape[0]
-        nxt = np.empty((2 * n, 2 * n), dtype=np.result_type(out, m))
+    out = mats[..., 0, :, :]
+    for k in range(1, mats.shape[-3]):
+        m = mats[..., k, :, :, None, None]
+        dim = out.shape[-1]
+        nxt = np.empty(out.shape[:-2] + (2 * dim, 2 * dim), dtype=np.result_type(out, m))
         for a in range(2):
             for b in range(2):
-                np.multiply(out, m[a, b], out=nxt[a::2, b::2])
+                np.multiply(out, m[..., a, b, :, :], out=nxt[..., a::2, b::2])
         out = nxt
     return out
 
 
-def _global_products(eta0, eta1, sched):
-    pairs = _flat_pairs(eta0, eta1, sched)
-    r0 = _kron_chain([_matrix(s0) for s0, _ in pairs])
-    r1 = _kron_chain([_matrix(s1) for _, s1 in pairs])
-    return r0, r1
+def _global_products(family, terms, r_rows):
+    """The output products of both channels for many flat schedules.
+
+    ``terms`` are the eta factors of :func:`_eta_terms`, shaped (term,
+    channel, row), and ``r_rows`` the schedules, (row, shot). Returns the
+    products stacked (channel, row, 2**n, 2**n).
+    """
+    rho00, rho11, x = _entries_batch(family, terms[..., None], r_rows)
+    mats = np.empty(rho00.shape + (2, 2))
+    mats[..., 0, 0] = rho00
+    mats[..., 1, 1] = rho11
+    mats[..., 0, 1] = x
+    mats[..., 1, 0] = x
+    return _kron_stack(mats)
+
+
+def _spec_products(eta0, eta1, sched):
+    """The output products (channel, 2**n, 2**n) of one channel pair and
+    schedule: :func:`_global_products` at one row, from the scalar entries."""
+    _check(StrategyKind.GLOBAL, eta0, eta1, sched)
+    entries = [output_entries(spec, r) for spec in (eta0, eta1) for r in sched.levels]
+    mats = np.array([(a, x, x, b) for a, b, x in entries])
+    return _kron_stack(mats.reshape(2, sched.shots, 2, 2))
+
+
+def _global_success(products):
+    """Success of the collective measurement on stacked product pairs
+    ``(r0, r1)``: 1/2 plus the positive eigenvalues of (r0 - r1)/2."""
+    vals = np.linalg.eigvalsh(0.5 * (products[0] - products[1]))
+    return 0.5 + np.maximum(vals, 0.0).sum(axis=-1)
 
 
 def _global_measurement(eta0, eta1, sched):
     """The collective measurement and its traces Tr(rho0 pi0), Tr(rho1 pi1)."""
-    _check(StrategyKind.GLOBAL, eta0, eta1, sched)
-    r0, r1 = _global_products(eta0, eta1, sched)
+    r0, r1 = _spec_products(eta0, eta1, sched)
     delta = 0.5 * (r0 - r1)
     vals, vecs = np.linalg.eigh(delta)
     mask = vals >= 0.0
@@ -256,10 +280,7 @@ def eval_global(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> S
 
 def global_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
     """Success probability of the collective measurement, eigenvalues only."""
-    _check(StrategyKind.GLOBAL, eta0, eta1, sched)
-    r0, r1 = _global_products(eta0, eta1, sched)
-    vals = np.linalg.eigvalsh(0.5 * (r0 - r1))
-    return 0.5 + float(vals[vals >= 0.0].sum())
+    return float(_global_success(_spec_products(eta0, eta1, sched)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +426,13 @@ def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
     return [slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist())]
 
 
+def _checked_rows(r_rows) -> np.ndarray:
+    r_rows = np.asarray(r_rows, dtype=float)
+    if not ((r_rows >= 0.0) & (r_rows <= 1.0)).all():
+        raise ScheduleError("r must be in [0, 1]")
+    return r_rows
+
+
 def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
     """Success probabilities of many problems' schedules, as one function.
 
@@ -425,8 +453,10 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
     merged by last outcome, in nodes 0 and 1 of the Bayesian node layout,
     and zeros in the others; the layout is only as wide as the rows of a
     call need. A row's value does not depend on the other rows, nor on
-    their kinds. The global strategy mixes with no other; it calls
-    :func:`global_value` per row.
+    their kinds. The global strategy mixes with no other; its rows are
+    scored by one stacked Kronecker build and one stacked eigensolve, in
+    chunks of at most :data:`_GLOBAL_CHUNK_BYTES` of products, each row as
+    :func:`global_value` scores it alone.
     """
     kinds = [StrategyKind(k) for k in kinds]
     family = ChannelFamily(family)
@@ -447,15 +477,29 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
     levels = layouts[0] if layouts else [slice(0, 1)]  # no problem: no row to walk
     for kind in set(kinds):
         _check_shots(kind, len(levels))
-    if StrategyKind.GLOBAL in kinds:
-        return _global_objective(kinds, family, eta)
-    markov = np.array([k is StrategyKind.MARKOVIAN for k in kinds], dtype=float)
     terms = np.array(_eta_terms(family, eta))  # (term, channel, problem)
+    if StrategyKind.GLOBAL in kinds:
+        if set(kinds) != {StrategyKind.GLOBAL}:
+            raise ScheduleError("global problems share no walk with the other strategies")
+        # Rows per stacked eigensolve, so that the products of a chunk hold
+        # at most _GLOBAL_CHUNK_BYTES.
+        step = max(1, _GLOBAL_CHUNK_BYTES // (2 * 8 * 4**d))
+
+        def stacked(problem, r_rows):
+            r_rows = _checked_rows(r_rows)
+            p = np.empty(len(r_rows))
+            for a in range(0, len(r_rows), step):
+                chunk = slice(a, a + step)
+                p[chunk] = _global_success(
+                    _global_products(family, terms.take(problem[chunk], axis=2), r_rows[chunk])
+                )
+            return p
+
+        return stacked
+    markov = np.array([k is StrategyKind.MARKOVIAN for k in kinds], dtype=float)
 
     def walk(problem, r_rows):
-        r_rows = np.asarray(r_rows, dtype=float)
-        if not ((r_rows >= 0.0) & (r_rows <= 1.0)).all():
-            raise ScheduleError("r must be in [0, 1]")
+        r_rows = _checked_rows(r_rows)
         rows = len(r_rows)
         mrow = markov.take(problem)  # 1.0 on a Markovian row, else 0.0
         markov_rows = np.count_nonzero(mrow)
@@ -485,20 +529,6 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
         return 0.5 * p[0]
 
     return walk
-
-
-def _global_objective(kinds, family, eta):
-    """The objective of :func:`values_objective` for global problems."""
-    if set(kinds) != {StrategyKind.GLOBAL}:
-        raise ScheduleError("global problems share no walk with the other strategies")
-    specs = [(ChannelSpec(family, e0), ChannelSpec(family, e1)) for e0, e1 in eta.T]
-
-    def per_row(problem, r_rows):
-        return np.array([
-            global_value(*specs[j], InputSchedule.flat(r)) for j, r in zip(problem, r_rows)
-        ])
-
-    return per_row
 
 
 def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarray:

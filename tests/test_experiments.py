@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import qcdisc.experiments as experiments
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec
 from qcdisc.cli import main
 from qcdisc.optimizer import OptimizerConfig, maximize_batch
-from qcdisc.strategies import InputSchedule, strategy_value, values_objective
+from qcdisc.strategies import InputSchedule, level_widths, strategy_value, values_objective
 from qcdisc.experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
@@ -140,6 +141,44 @@ def test_curve_adaptive_fallback_to_flat_warns(monkeypatch, capsys):
     assert "n=1" not in err
 
 
+def test_curve_adaptive_fallback_prints_flat(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "ADAPTIVE_PARAM_CAP", 2)
+    cfg = make_config("bit-flip", points=[(0.75, 0.4)], n_max=2, strategies=("bayesian",),
+                      input_mode="adaptive", max_starts=4)
+    rows = run_curve(cfg)
+    assert [(row.n, row.input_mode, len(row.r_values)) for row in rows] == [
+        (1, "adaptive", 1),
+        (2, "flat", 2),
+    ]
+    assert "bayesian inputs tied per shot for n=2" in capsys.readouterr().err
+    buf = io.StringIO()
+    write_records_csv(rows, CURVE_FIELDS, cfg.as_dict(), buf)
+    buf.seek(0)
+    assert [rec["input_mode"] for rec in read_records_csv(buf)] == ["adaptive", "flat"]
+
+
+def test_duplicate_points_exit_2(capsys):
+    with pytest.raises(ConfigError, match="each \\(eta0, eta1\\) pair once"):
+        make_config("bit-flip", points=[(0.75, 0.4), (0.95, 0.6), (0.75, 0.4)])
+    # Amplitude damping compares the points in radians, as the rows print them.
+    with pytest.raises(ConfigError, match="pair once"):
+        make_config("amplitude-damping", points=[(0.75, 0.4), (0.75, 0.4)])
+    argv = ["curve", "--family", "bit-flip", "--eta0", "0.75", "--eta1", "0.4",
+            "--eta0", "0.75", "--eta1", "0.4", "--n-max", "1", "--strategies", "markovian"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_workers_run_with_one_blas_thread(monkeypatch):
+    for var in experiments._BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    names = list(experiments._BLAS_THREAD_VARS)
+    assert experiments._map_tasks(os.getenv, names, 2) == ["1"] * len(names)
+    # The calling process keeps its own settings.
+    assert [os.environ[var] for var in names] == ["4"] * len(names)
+
+
 def test_duplicate_strategies_exit_2(capsys):
     with pytest.raises(ConfigError, match="each strategy once"):
         make_config("bit-flip", points=[(0.75, 0.4)], strategies=("markovian", "bayesian", "markovian"))
@@ -264,6 +303,58 @@ def test_optimize_strategy_value_attained(family, kind, input_mode):
     else:  # levels of 1, 2 and then 4 (Bayesian) or 2 (Markovian) values
         sched = InputSchedule.adaptive([r_values[:1], r_values[1:3], r_values[3:]])
     assert abs(p - strategy_value(kind, spec0, spec1, sched)) <= 1e-14
+
+
+def test_angle_map_ends_and_round_trips():
+    assert experiments._to_r(0.0) == 0.0 and experiments._to_r(1.0) == 1.0
+    assert experiments._to_x(0.0) == 0.0 and experiments._to_x(1.0) == 1.0
+    r = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, 5e-324, 1.0 - 2**-53]])
+    assert np.abs(experiments._to_r(experiments._to_x(r)) - r).max() <= 1e-15
+    # x -> r -> x loses x near 1, where r = 1 - O((1 - x)^2) keeps fewer
+    # digits of x; up to x = 0.9 it holds to 1e-15.
+    x = np.linspace(0.0, 0.9, 1001)
+    assert np.abs(experiments._to_x(experiments._to_r(x)) - x).max() <= 1e-15
+
+
+def _schedule_of(row):
+    """The schedule whose values a curve row prints."""
+    if row.input_mode == "flat":
+        return InputSchedule.flat(row.r_values)
+    widths = level_widths(row.strategy, row.input_mode, row.n)
+    ends = np.cumsum(widths).tolist()
+    return InputSchedule.adaptive([row.r_values[e - w : e] for w, e in zip(widths, ends)])
+
+
+@pytest.mark.parametrize("input_mode,strategies", [
+    ("flat", ("global", "bayesian", "markovian")),
+    ("adaptive", ("bayesian", "markovian")),
+])
+def test_curve_rows_print_the_inputs_of_their_value(input_mode, strategies):
+    # The search runs over the angle; the printed r reproduce p_succ. Flat
+    # rows past n = 1 start from the warm starts of the row before.
+    cfg = make_config("amplitude-damping", points=[(0.75, 0.4)], n_max=3,
+                      strategies=strategies, input_mode=input_mode, seed=5)
+    rows = run_curve(cfg)
+    assert len(rows) == 3 * len(strategies)
+    for row in rows:
+        assert all(0.0 <= r <= 1.0 for r in row.r_values)
+        specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
+        sched = _schedule_of(row)
+        assert abs(strategy_value(row.strategy, *specs, sched) - row.p_succ) <= 1e-12
+
+
+def test_sweep_cell_inputs_reproduce_its_values():
+    cfg = make_config("bit-flip", grid=(0.0, 1.0, 4), seed=2)
+    rows = run_sweep_diff(cfg)
+    i, row = 4, rows[4]
+    problems = [(kind, (row.eta0, row.eta1), OptimizerConfig(seed=cfg.seed + 104729 * i))
+                for kind in ("bayesian", "markovian")]
+    found = experiments._optimize(problems, cfg.family, experiments.SWEEP_SHOTS, "flat")
+    assert (found[0].best_value, found[1].best_value) == (row.p_bayes, row.p_markov)
+    specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
+    for (kind, _, _), res in zip(problems, found):
+        sched = InputSchedule.flat(res.best_point)
+        assert abs(strategy_value(kind, *specs, sched) - res.best_value) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

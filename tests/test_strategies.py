@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FAMILIES, random_spec_pair
 from oracles import InputState, apply, eigen_hermitian, pure_state
+import qcdisc.strategies as strategies
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
 from qcdisc.strategies import (
@@ -26,7 +27,7 @@ from qcdisc.strategies import (
     values,
     values_objective,
 )
-from qcdisc.strategies import _bayesian_walk, _global_measurement, _kron_chain, _markovian_walk
+from qcdisc.strategies import _bayesian_walk, _global_measurement, _kron_stack, _markovian_walk
 
 DEP = (ChannelSpec(ChannelFamily.DEPOLARIZING, 0.75), ChannelSpec(ChannelFamily.DEPOLARIZING, 0.4))
 BF = (ChannelSpec(ChannelFamily.BIT_FLIP, 0.75), ChannelSpec(ChannelFamily.BIT_FLIP, 0.4))
@@ -201,17 +202,18 @@ def test_global_matches_iterative_eigensolver(rng):
 
 
 @pytest.mark.parametrize("complex_factors", [False, True])
-def test_kron_chain_equals_numpy_kron(rng, complex_factors):
-    # Channel outputs give real factors; complex ones check that the chain
+def test_kron_stack_equals_numpy_kron(rng, complex_factors):
+    # Channel outputs give real factors; complex ones check that the build
     # keeps a general dtype. General 2x2 entries, so that a transposed
-    # block would show.
+    # block would show, on a (2, 3) stack of factor lists.
     for n in range(1, 9):
-        mats = [rng.normal(size=(2, 2)) for _ in range(n)]
+        mats = rng.normal(size=(2, 3, n, 2, 2))
         if complex_factors:
-            mats = [m + 1j * rng.normal(size=(2, 2)) for m in mats]
-        got = _kron_chain(mats)
-        assert got.dtype == mats[0].dtype
-        assert np.array_equal(got, functools.reduce(np.kron, mats))
+            mats = mats + 1j * rng.normal(size=mats.shape)
+        got = _kron_stack(mats)
+        assert got.dtype == mats.dtype
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(got[i, j], functools.reduce(np.kron, list(mats[i, j])))
 
 
 def test_global_identical_channels_coin_flip():
@@ -494,6 +496,44 @@ def test_batched_global_loops_scalar(rng):
     r_rows = rng.random((3, 3))
     got = values("global", s0.family, [s0.eta] * 3, [s1.eta] * 3, r_rows)
     assert list(got) == [global_value(s0, s1, InputSchedule.flat(r)) for r in r_rows]
+
+
+def kraus_global_value(spec0, spec1, r_row):
+    """Oracle: the collective value of output products built by Kraus maps."""
+    prods = []
+    for spec in (spec0, spec1):
+        outs = [apply(spec, pure_state(InputState(float(r)))) for r in r_row]
+        prods.append(functools.reduce(np.kron, outs))
+    vals = np.linalg.eigvalsh(0.5 * (prods[0] - prods[1]))
+    return 0.5 + float(vals[vals >= 0.0].sum())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_global_rows_equal_global_value(rng, family):
+    # Each stacked row is the one-row build and eigensolve of global_value,
+    # over channel pairs that differ row by row.
+    pairs = [random_spec_pair(rng, family) for _ in range(12)]
+    eta0 = [s0.eta for s0, _ in pairs]
+    eta1 = [s1.eta for _, s1 in pairs]
+    for shots in range(1, 7):
+        r_rows = random_rows(rng, "global", "flat", shots, len(pairs))
+        got = values("global", family, eta0, eta1, r_rows)
+        for (s0, s1), r, p in zip(pairs, r_rows, got):
+            assert abs(p - global_value(s0, s1, InputSchedule.flat(r))) <= 1e-15
+            assert abs(p - kraus_global_value(s0, s1, r)) <= 1e-12
+
+
+def test_stacked_global_chunks_change_no_value(rng, monkeypatch):
+    family = ChannelFamily.BIT_FLIP
+    pairs = [random_spec_pair(rng, family) for _ in range(9)]
+    eta0 = [s0.eta for s0, _ in pairs]
+    eta1 = [s1.eta for _, s1 in pairs]
+    r_rows = random_rows(rng, "global", "flat", 4, len(pairs))
+    whole = values("global", family, eta0, eta1, r_rows)
+    # Two rows of 4 shots per chunk, then one.
+    for cap in (2 * 2 * 8 * 4**4, 1):
+        monkeypatch.setattr(strategies, "_GLOBAL_CHUNK_BYTES", cap)
+        assert np.array_equal(values("global", family, eta0, eta1, r_rows), whole)
 
 
 @pytest.mark.parametrize("kind,mode,shots", [
