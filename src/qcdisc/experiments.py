@@ -312,7 +312,6 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
         )
         cfgs = [
             dataclasses.replace(cfg, extra_starts=tuple(_to_x(cfg.extra_starts).tolist()))
-            if cfg.extra_starts else cfg
             for cfg in cfgs
         ]
         found = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
