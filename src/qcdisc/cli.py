@@ -29,7 +29,6 @@ from .experiments import (
     write_records_csv,
     write_records_json,
 )
-from .optimizer import OptimizerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,16 +125,17 @@ def _parse_grid(text) -> tuple:
 
 def _config_from_args(args, needs_points: bool):
     file_cfg = _load_file_config(args.config)
-    family = _pick(args, file_cfg, "family", None)
-    if family is None:
+    # The settings given by flag or file; make_config holds the defaults, so
+    # a null in the file reaches it and is refused there.
+    keys = ["family", "strategies", "input_mode", "value_tol", "max_evals", "max_starts",
+            "seed", "jobs"] + (["n_max"] if needs_points else [])
+    given = {key: file_cfg[key] for key in keys if key in file_cfg}
+    given.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
+    if given.get("family") is None:
         raise ConfigError("a channel family is required (--family or config file)")
-
-    points = None
-    grid = None
-    n_max = 1
-    strategies = _pick(args, file_cfg, "strategies", "global,bayesian,markovian")
+    strategies = given.get("strategies")
     if isinstance(strategies, str):
-        strategies = tuple(s.strip() for s in strategies.split(",") if s.strip())
+        given["strategies"] = tuple(s.strip() for s in strategies.split(",") if s.strip())
 
     if needs_points:
         eta0 = getattr(args, "eta0", None)
@@ -143,35 +143,22 @@ def _config_from_args(args, needs_points: bool):
         if eta0 is not None or eta1 is not None:
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
-            points = list(zip(eta0, eta1))
+            given["points"] = list(zip(eta0, eta1))
         else:
-            points = file_cfg.get("points")
-        if not points:
+            given["points"] = file_cfg.get("points")
+        if not given["points"]:
             raise ConfigError("curve requires at least one (eta0, eta1) point")
-        n_max = _pick(args, file_cfg, "n_max", 1)
     else:
         grid_raw = _pick(args, file_cfg, "grid", None)
         if grid_raw is None:
             raise ConfigError("sweep-diff requires --grid MIN:MAX:STEPS")
-        grid = _parse_grid(grid_raw)
+        given["grid"] = _parse_grid(grid_raw)
 
     fmt = _pick(args, file_cfg, "fmt", None) or file_cfg.get("format") or "csv"
     writers = {"csv": write_records_csv, "json": write_records_json}
     if not isinstance(fmt, str) or fmt not in writers:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    cfg = make_config(
-        family=family,
-        points=points,
-        grid=grid,
-        n_max=n_max,
-        strategies=strategies,
-        input_mode=_pick(args, file_cfg, "input_mode", "flat"),
-        value_tol=_pick(args, file_cfg, "value_tol", OptimizerConfig.value_tol),
-        max_evals=_pick(args, file_cfg, "max_evals", OptimizerConfig.max_evals),
-        max_starts=_pick(args, file_cfg, "max_starts", OptimizerConfig.max_starts),
-        seed=_pick(args, file_cfg, "seed", 0),
-        jobs=_pick(args, file_cfg, "jobs", 1),
-    )
+    cfg = make_config(**given)
     out = _pick(args, file_cfg, "out", None)
     if out:  # checked before the run, which may take hours
         folder = os.path.dirname(os.path.abspath(out))

@@ -85,19 +85,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated run configuration; build it with :func:`make_config`."""
+
     family: ChannelFamily
-    points: tuple = ()
-    points_entered: tuple = ()
-    grid: tuple | None = None
-    grid_entered: tuple | None = None
-    n_max: int = 1
-    strategies: tuple = VALID_STRATEGIES
-    input_mode: str = "flat"
-    value_tol: float = OptimizerConfig.value_tol
-    max_evals: int = OptimizerConfig.max_evals
-    max_starts: int = OptimizerConfig.max_starts
-    seed: int = 0
-    jobs: int = 1
+    points: tuple
+    points_entered: tuple
+    grid: tuple | None
+    grid_entered: tuple | None
+    n_max: int
+    strategies: tuple
+    input_mode: str
+    value_tol: float
+    max_evals: int
+    max_starts: int
+    seed: int
+    jobs: int
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -271,27 +273,17 @@ def _to_x(r):
 def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
     """Best inputs of many ``(kind, (eta0, eta1), opt_cfg)`` problems.
 
-    Problems whose searches have the same parameter count and schedule mode
-    run in one lockstep search, on one objective built once for all of them;
-    returns one :class:`OptResult` per problem, in order, its ``best_point``
-    in r. The search runs over the angle x with r = sin^2(pi x / 2): every
-    value is even in the angle about both ends of the box, so an optimum at
-    r = 0 or 1, where values move like sqrt(r) or sqrt(1 - r), is a smooth
-    stationary point in x. Warm starts (``extra_starts``) are given in r.
-    The depolarizing family is input independent, so each problem is
-    evaluated once at the all-|0> schedule instead.
+    Problems whose searches have the same parameter count and schedule mode,
+    and are all global or all feedforward, run in one lockstep search, on
+    one objective built once for all of them; returns one :class:`OptResult`
+    per problem, in order, its ``best_point`` in r. The search runs over the
+    angle x with r = sin^2(pi x / 2): every value is even in the angle about
+    both ends of the box, so an optimum at r = 0 or 1, where values move
+    like sqrt(r) or sqrt(1 - r), is a smooth stationary point in x. Warm
+    starts (``extra_starts``) are given in r. The depolarizing family is
+    input independent, so each objective is evaluated once instead, at the
+    zero point of its layout.
     """
-    if family is ChannelFamily.DEPOLARIZING:
-        sched = InputSchedule.flat((0.0,) * shots)
-        return [
-            OptResult(
-                np.zeros(shots),
-                strategy_value(kind, ChannelSpec(family, e0), ChannelSpec(family, e1), sched),
-                1,
-                True,
-            )
-            for kind, (e0, e1), _ in problems
-        ]
     groups: dict = {}
     for i, (kind, _, _) in enumerate(problems):
         kind = StrategyKind(kind)
@@ -303,20 +295,26 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
                 f"(cap {ADAPTIVE_PARAM_CAP})",
                 file=sys.stderr,
             )
-        groups.setdefault((d, mode), []).append(i)
+        # values_objective runs global problems apart from the others.
+        groups.setdefault((d, mode, kind is StrategyKind.GLOBAL), []).append(i)
     results = [None] * len(problems)
-    for (d, mode), members in groups.items():
+    for (d, mode, _), members in groups.items():
         kinds, cells, cfgs = zip(*(problems[i] for i in members))
         objective = values_objective(
             kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], d, mode
         )
-        cfgs = [
-            dataclasses.replace(cfg, extra_starts=tuple(_to_x(cfg.extra_starts).tolist()))
-            for cfg in cfgs
-        ]
-        found = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
+        if family is ChannelFamily.DEPOLARIZING:
+            values = objective(np.arange(len(members)), np.zeros((len(members), d)))
+            found = [OptResult(np.zeros(d), float(v), 1, True) for v in values]
+        else:
+            cfgs = [
+                dataclasses.replace(cfg, extra_starts=tuple(_to_x(cfg.extra_starts).tolist()))
+                for cfg in cfgs
+            ]
+            found = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
+            found = [dataclasses.replace(res, best_point=_to_r(res.best_point)) for res in found]
         for i, res in zip(members, found):
-            results[i] = dataclasses.replace(res, best_point=_to_r(res.best_point))
+            results[i] = res
     return results
 
 
@@ -333,7 +331,7 @@ def optimize_strategy(
     Returns ``(p_succ, r_values, evaluations)``; in adaptive mode
     ``r_values`` holds the levels of the schedule concatenated. The
     depolarizing family is input independent, so it is evaluated once at
-    the all-|0> schedule instead of being optimized.
+    the all-|0> schedule of its layout instead of being optimized.
     """
     if spec0.family is not spec1.family:
         raise ValueError(
@@ -343,102 +341,98 @@ def optimize_strategy(
     return res.best_value, tuple(float(v) for v in res.best_point), res.evaluations
 
 
-def _warn_unconverged(missed: int, total: int) -> None:
-    if missed:
-        print(
-            f"warning: {missed} of {total} optimizations did not converge",
-            file=sys.stderr,
-        )
+def _search_task(payload) -> list[list[tuple]]:
+    """Results of a run of ``(kind, (eta0, eta1), seed)`` problems at each of
+    a run of consecutive shot counts.
 
-
-def _opt_config(cfg: ExperimentConfig, seed: int, extra_starts=()) -> OptimizerConfig:
-    """The search settings of ``cfg``, with one search's seed and warm starts."""
-    return OptimizerConfig(value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed,
-                           max_starts=cfg.max_starts, extra_starts=extra_starts)
-
-
-def _curve_task(payload) -> tuple[list[ResultRow], int]:
-    """Rows of one (point, strategy) pair, and how many did not converge."""
-    cfg, point_index, strategy = payload
-    point = cfg.points[point_index]
-    rows = []
-    missed = 0
-    prev_best: tuple | None = None
-    for shots in range(1, cfg.n_max + 1):
-        if strategy == "global" and shots > GLOBAL_SHOT_CAP:
-            print(
-                f"warning: global strategy skipped for n={shots} "
-                f"(cap {GLOBAL_SHOT_CAP})",
-                file=sys.stderr,
-            )
-            continue
-        extra = ()
-        if prev_best is not None and len(prev_best) == shots - 1:
-            extra = tuple(prev_best + (v,) for v in (0.0, 0.5, 1.0))
-        opt_cfg = _opt_config(cfg, cfg.seed + 7919 * point_index, extra)
+    Each count makes one :func:`_optimize` call over the problems, and
+    yields one ``(result, wall time of that call)`` per problem, the result
+    None for a global problem past ``GLOBAL_SHOT_CAP``. In flat mode a
+    problem also starts from its best inputs at the count before, extended
+    by 0, 1/2 and 1.
+    """
+    cfg, problems, counts = payload
+    best = [None] * len(problems)
+    out = []
+    for shots in counts:
+        live = [j for j, (kind, _, _) in enumerate(problems)
+                if kind != "global" or shots <= GLOBAL_SHOT_CAP]
+        batch = []
+        for j in live:
+            kind, point, seed = problems[j]
+            extra = () if best[j] is None else tuple(best[j] + (v,) for v in (0.0, 0.5, 1.0))
+            batch.append((kind, point, OptimizerConfig(
+                value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed,
+                max_starts=cfg.max_starts, extra_starts=extra)))
         t0 = time.perf_counter()
-        res = _optimize([(strategy, point, opt_cfg)], cfg.family, shots, cfg.input_mode)[0]
+        found = _optimize(batch, cfg.family, shots, cfg.input_mode)
         elapsed = time.perf_counter() - t0
-        r_values = tuple(float(v) for v in res.best_point)
-        missed += not res.converged
-        # A feedforward search that _layout tied per shot prints flat.
-        mode = cfg.input_mode
-        if strategy != "global":
-            mode = _layout(StrategyKind(strategy), shots, cfg.input_mode)[1]
-        rows.append(
-            ResultRow(
-                family=cfg.family.value,
-                eta0=point[0],
-                eta1=point[1],
-                n=shots,
-                strategy=strategy,
-                input_mode=mode,
-                p_succ=res.best_value,
-                r_values=r_values,
-                evaluations=res.evaluations,
-                wall_time_s=elapsed,
-            )
-        )
-        prev_best = r_values if cfg.input_mode == "flat" else None
-    return rows, missed
+        results = [None] * len(problems)
+        for j, res in zip(live, found):
+            results[j] = res
+            if cfg.input_mode == "flat":
+                best[j] = tuple(float(v) for v in res.best_point)
+        out.append([(res, elapsed) for res in results])
+    return out
+
+
+def _search(cfg: ExperimentConfig, problems: list, counts) -> list[list]:
+    """For each shot count, one ``(result, wall time)`` per problem, as
+    :func:`_search_task` gives them for all ``problems``.
+
+    ``jobs`` splits the problems into that many contiguous runs, one task
+    each; a row's wall time is that of the search its run shared. Warns
+    once if any search did not converge.
+    """
+    bounds = np.linspace(0, len(problems), min(cfg.jobs, len(problems)) + 1).round().astype(int)
+    payloads = [(cfg, problems[a:b], counts) for a, b in zip(bounds, bounds[1:])]
+    parts = _map_tasks(_search_task, payloads, cfg.jobs)
+    found = [[pair for part in parts for pair in part[c]] for c in range(len(counts))]
+    done = [res for results in found for res, _ in results if res is not None]
+    missed = sum(not res.converged for res in done)
+    if missed:
+        print(f"warning: {missed} of {len(done)} optimizations did not converge", file=sys.stderr)
+    return found
 
 
 def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Optimized success probability for every (point, n, strategy)."""
+    """Optimized success probability for every (point, n, strategy).
+
+    Every (point, strategy) problem at one shot count runs in one lockstep
+    search (one per run of problems with ``jobs`` > 1), each problem with
+    the seed of its point, and gets the same result as a search of its own.
+    """
     if not cfg.points:
         raise ConfigError("curve requires at least one (eta0, eta1) point")
-    payloads = [
-        (cfg, pi, strat) for pi in range(len(cfg.points)) for strat in cfg.strategies
-    ]
-    groups = _map_tasks(_curve_task, payloads, cfg.jobs)
-    # Payloads come strategy by strategy in configured order, so a stable
-    # sort by (point, n) orders the rows by (point, n, strategy).
-    keyed = [(pi, row) for (_, pi, _), (rows, _) in zip(payloads, groups) for row in rows]
-    keyed.sort(key=lambda item: (item[0], item[1].n))
-    _warn_unconverged(sum(missed for _, missed in groups), len(keyed))
-    return [row for _, row in keyed]
-
-
-def _sweep_task(payload) -> tuple[list[SweepRow], int]:
-    """Rows of a run of grid cells, and how many optimizations missed.
-
-    Both strategies of every cell are problems of one :func:`_optimize`
-    call: one lockstep search in flat mode, one per parameter count in
-    adaptive mode.
-    """
-    cfg, cells, seeds = payload
+    counts = range(1, cfg.n_max + 1)
+    if "global" in cfg.strategies:
+        for shots in counts[GLOBAL_SHOT_CAP:]:
+            print(f"warning: global strategy skipped for n={shots} (cap {GLOBAL_SHOT_CAP})",
+                  file=sys.stderr)
     problems = [
-        (kind, cell, _opt_config(cfg, seed))
-        for kind in ("bayesian", "markovian")
-        for cell, seed in zip(cells, seeds)
+        (kind, point, cfg.seed + 7919 * i)
+        for i, point in enumerate(cfg.points)
+        for kind in cfg.strategies
     ]
-    results = _optimize(problems, cfg.family, SWEEP_SHOTS, cfg.input_mode)
-    bayes, markov = results[: len(cells)], results[len(cells) :]
-    rows = [
-        SweepRow(e0, e1, b.best_value, m.best_value, b.best_value - m.best_value)
-        for (e0, e1), b, m in zip(cells, bayes, markov)
+    found = _search(cfg, problems, counts)
+    return [
+        ResultRow(
+            family=cfg.family.value,
+            eta0=e0,
+            eta1=e1,
+            n=shots,
+            strategy=kind,
+            input_mode=_layout(StrategyKind(kind), shots, cfg.input_mode)[1],
+            p_succ=res.best_value,
+            r_values=tuple(float(v) for v in res.best_point),
+            evaluations=res.evaluations,
+            wall_time_s=wall,
+        )
+        for i, (e0, e1) in enumerate(cfg.points)
+        for shots, results in zip(counts, found)
+        for kind, (res, wall) in zip(cfg.strategies, results[i * len(cfg.strategies) :])
+        if res is not None
     ]
-    return rows, sum(not res.converged for res in bayes + markov)
 
 
 def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -446,22 +440,26 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
 
     Cells are restricted to the lower triangle eta0 > eta1; both sides are
     input-optimized independently, each cell with its own seed. ``jobs``
-    splits the cells into that many contiguous runs. The searches of a run
-    share one lockstep over the cells of both strategies (two in adaptive
-    mode, where the strategies differ in parameter count), and give each
-    cell the same result as a search of its own.
+    splits the problems into that many contiguous runs. The searches of a
+    run share one lockstep over the cells of both strategies (two in
+    adaptive mode, where the strategies differ in parameter count), and
+    give each cell the same result as a search of its own.
     """
     if cfg.grid is None:
         raise ConfigError("sweep-diff requires a grid specification")
     gmin, gmax, steps = cfg.grid
     axis = np.linspace(gmin, gmax, steps)
     cells = [(float(e0), float(e1)) for e0 in axis for e1 in axis if e0 > e1]
-    seeds = [cfg.seed + 104729 * i for i in range(len(cells))]
-    bounds = np.linspace(0, len(cells), min(cfg.jobs, len(cells)) + 1).round().astype(int)
-    payloads = [(cfg, cells[a:b], seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
-    parts = _map_tasks(_sweep_task, payloads, cfg.jobs)
-    _warn_unconverged(sum(missed for _, missed in parts), 2 * len(cells))
-    return [row for rows, _ in parts for row in rows]
+    problems = [
+        (kind, cell, cfg.seed + 104729 * i)
+        for i, cell in enumerate(cells)
+        for kind in ("bayesian", "markovian")
+    ]
+    (found,) = _search(cfg, problems, (SWEEP_SHOTS,))
+    return [
+        SweepRow(e0, e1, b.best_value, m.best_value, b.best_value - m.best_value)
+        for (e0, e1), (b, _), (m, _) in zip(cells, found[::2], found[1::2])
+    ]
 
 
 # Thread counts of the BLAS libraries numpy may load, set to 1 in workers.
@@ -486,12 +484,11 @@ def _map_tasks(fn, payloads, jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
-    chunk = max(1, len(payloads) // (jobs * 8))
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            return list(pool.map(fn, payloads, chunksize=chunk))
+            return list(pool.map(fn, payloads))
     finally:
         for var, value in saved.items():
             if value is None:

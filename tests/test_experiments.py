@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -157,6 +158,23 @@ def test_curve_adaptive_fallback_prints_flat(monkeypatch, capsys):
     assert [rec["input_mode"] for rec in read_records_csv(buf)] == ["adaptive", "flat"]
 
 
+@pytest.mark.parametrize("family", ["depolarizing", "bit-flip"])
+def test_curve_rows_print_the_layout_they_ran(family, capsys):
+    # Global searches are always flat, with one r per shot; feedforward rows
+    # print the adaptive layout they ran, input independent ones included.
+    argv = ["curve", "--family", family, "--eta0", "0.75", "--eta1", "0.4", "--n-max", "3",
+            "--input-mode", "adaptive"]
+    assert main(argv) == 0
+    for rec in read_records_csv(io.StringIO(capsys.readouterr().out)):
+        if rec["strategy"] == "global":
+            assert (rec["input_mode"], len(rec["r_values"])) == ("flat", rec["n"])
+        else:
+            widths = level_widths(rec["strategy"], "adaptive", rec["n"])
+            assert (rec["input_mode"], len(rec["r_values"])) == ("adaptive", sum(widths))
+            if rec["n"] == 3:
+                assert len(rec["r_values"]) == {"bayesian": 7, "markovian": 5}[rec["strategy"]]
+
+
 def test_duplicate_points_exit_2(capsys):
     with pytest.raises(ConfigError, match="each \\(eta0, eta1\\) pair once"):
         make_config("bit-flip", points=[(0.75, 0.4), (0.95, 0.6), (0.75, 0.4)])
@@ -289,6 +307,41 @@ def test_curve_warns_when_optimizations_miss(capsys):
                       strategies=("bayesian", "markovian"), max_evals=8)
     run_curve(cfg)
     assert "warning: 4 of 4 optimizations did not converge" in capsys.readouterr().err
+
+
+def test_curve_parallel_matches_serial():
+    kwargs = dict(points=[(0.75, 0.4), (0.95, 0.6)], n_max=3, seed=4)
+    serial = run_curve(make_config("bit-flip", jobs=1, **kwargs))
+    parallel = run_curve(make_config("bit-flip", jobs=2, **kwargs))
+    assert len(serial) == 2 * 3 * 3
+    strip = [dataclasses.replace(row, wall_time_s=0.0) for row in serial]
+    assert strip == [dataclasses.replace(row, wall_time_s=0.0) for row in parallel]
+
+
+@pytest.mark.parametrize("family,input_mode", [
+    ("bit-flip", "flat"),
+    ("amplitude-damping", "adaptive"),
+])
+def test_curve_rows_equal_per_problem_searches(family, input_mode):
+    # One lockstep search per shot count over every (point, strategy) gives
+    # each row what a search of its own gives, with the seed of its point
+    # and, in flat mode, the warm starts from its row at n - 1.
+    cfg = make_config(family, points=[(0.75, 0.4), (0.95, 0.6)], n_max=3,
+                      input_mode=input_mode, seed=6)
+    rows = run_curve(cfg)
+    assert len(rows) == 2 * 3 * 3
+    before = {}
+    for row in rows:
+        i = cfg.points.index((row.eta0, row.eta1))
+        prev = before.get((i, row.strategy))
+        extra = ()
+        if input_mode == "flat" and prev is not None:
+            extra = tuple(prev.r_values + (v,) for v in (0.0, 0.5, 1.0))
+        opt_cfg = OptimizerConfig(seed=cfg.seed + 7919 * i, extra_starts=extra)
+        specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
+        alone = optimize_strategy(row.strategy, *specs, row.n, input_mode, opt_cfg)
+        assert (row.p_succ, row.r_values, row.evaluations) == alone
+        before[(i, row.strategy)] = row
 
 
 @pytest.mark.parametrize("family", ["bit-flip", "amplitude-damping"])
@@ -508,6 +561,16 @@ def test_cli_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, cmd, setti
     cfg_file.write_text(json.dumps({"family": "bit-flip", **settings}))
     assert main([cmd, "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_config_null_settings_exit_2(tmp_path, capsys):
+    # make_config holds the defaults; a null in the file is refused, not defaulted.
+    for key in ("n_max", "strategies", "input_mode", "value_tol", "max_evals", "max_starts",
+                "seed", "jobs"):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"family": "bit-flip", "points": [[0.7, 0.3]], key: None}))
+        assert main(["curve", "--config", str(cfg_file)]) == 2, key
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_rejects_unknown_format(tmp_path, capsys):

@@ -8,8 +8,8 @@ Runs ``run_curve`` for the three channel families at the reference points
 (0.75, 0.4) and (0.95, 0.6), n = 1..6, seed 17, as criterion 5 does, with
 qcdisc imported from ``PATH/src`` and BLAS pinned to one thread before numpy
 loads. Prints one line per family and writes a JSON record: the wall time
-per family, the evaluations and the summed row wall time per strategy, and
-every row, so that two checkouts can be compared row by row.
+per family, the evaluations per strategy, and every row, so that two
+checkouts can be compared row by row.
 """
 
 import os
@@ -76,7 +76,6 @@ def main(argv=None) -> int:
         record["families"][family] = {
             "wall_s": wall,
             "evaluations": {s: sum(r.evaluations for r in rows if r.strategy == s) for s in STRATEGIES},
-            "row_wall_s": {s: sum(r.wall_time_s for r in rows if r.strategy == s) for s in STRATEGIES},
             "rows": [
                 {"eta0": r.eta0, "eta1": r.eta1, "n": r.n, "strategy": r.strategy,
                  "p_succ": r.p_succ, "r_values": list(r.r_values), "evaluations": r.evaluations}
