@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-evals", type=int, dest="max_evals")
         p.add_argument("--max-starts", type=int, dest="max_starts")
         p.add_argument("--out", help="output path; stdout when omitted")
-        p.add_argument("--format", choices=["csv", "json"], dest="fmt")
+        p.add_argument("--format", choices=["csv", "json"])
 
     curve = sub.add_parser("curve", help="success probability vs shot count")
     add_shared(curve, needs_points=True)
@@ -104,13 +104,6 @@ def _load_file_config(path: str | None) -> dict:
     return data
 
 
-def _pick(args, file_cfg: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return file_cfg.get(key, default)
-
-
 def _parse_grid(text) -> tuple:
     if isinstance(text, (list, tuple)):
         if len(text) != 3:
@@ -126,9 +119,13 @@ def _parse_grid(text) -> tuple:
 def _config_from_args(args, needs_points: bool):
     file_cfg = _load_file_config(args.config)
     # The settings given by flag or file; make_config holds the defaults, so
-    # a null in the file reaches it and is refused there.
+    # a null in the file is refused, not defaulted (a null out means stdout).
     keys = ["family", "strategies", "input_mode", "value_tol", "max_evals", "max_starts",
-            "seed", "jobs"] + (["n_max"] if needs_points else [])
+            "seed", "jobs", "out", "format"] + (["n_max", "points"] if needs_points else ["grid"])
+    unknown = sorted(set(file_cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"{args.cmd} reads no config key {', '.join(map(repr, unknown))}; "
+                          f"it reads {', '.join(keys)}")
     given = {key: file_cfg[key] for key in keys if key in file_cfg}
     given.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     if given.get("family") is None:
@@ -144,22 +141,19 @@ def _config_from_args(args, needs_points: bool):
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
             given["points"] = list(zip(eta0, eta1))
-        else:
-            given["points"] = file_cfg.get("points")
-        if not given["points"]:
+        if not given.get("points"):
             raise ConfigError("curve requires at least one (eta0, eta1) point")
     else:
-        grid_raw = _pick(args, file_cfg, "grid", None)
-        if grid_raw is None:
+        if given.get("grid") is None:
             raise ConfigError("sweep-diff requires --grid MIN:MAX:STEPS")
-        given["grid"] = _parse_grid(grid_raw)
+        given["grid"] = _parse_grid(given["grid"])
 
-    fmt = _pick(args, file_cfg, "fmt", None) or file_cfg.get("format") or "csv"
+    out = given.pop("out", None)
+    fmt = given.pop("format", "csv")
     writers = {"csv": write_records_csv, "json": write_records_json}
     if not isinstance(fmt, str) or fmt not in writers:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     cfg = make_config(**given)
-    out = _pick(args, file_cfg, "out", None)
     if out:  # checked before the run, which may take hours
         folder = os.path.dirname(os.path.abspath(out))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):

@@ -224,6 +224,13 @@ def make_config(
     jobs = _number(int, jobs, "jobs")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    # Every search starts from the points (0, ...), (1/2, ...) and (1, ...).
+    max_starts = _number(int, max_starts, "max_starts")
+    if max_starts < 3:
+        raise ConfigError(f"max_starts must be >= 3, got {max_starts}")
+    seed = _number(int, seed, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     return ExperimentConfig(
         family=family,
@@ -236,8 +243,8 @@ def make_config(
         input_mode=input_mode,
         value_tol=_number(float, value_tol, "value_tol"),
         max_evals=_number(int, max_evals, "max_evals"),
-        max_starts=_number(int, max_starts, "max_starts"),
-        seed=_number(int, seed, "seed"),
+        max_starts=max_starts,
+        seed=seed,
         jobs=jobs,
     )
 

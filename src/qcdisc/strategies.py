@@ -12,11 +12,14 @@ hypotheses) and guess which channel it was from the measurement record.
   the immediately preceding outcome only; histories are marginalized, so
   evaluation is linear in the shot count.
 
-Each feedforward rule is written once, as a scalar walk over one schedule
-that returns the success probability and the nodes it reaches, each with
-its posterior, measurement and traces ``Tr(rho_c pi0)``. ``*_value`` return
-the walk's success probability, ``eval_*`` the measurement tree built from
-its nodes, and :func:`simulate_protocol` samples outcomes from its traces.
+One scalar walk over one schedule serves both feedforward strategies. It
+goes level by level over the outcome tree and returns the success
+probability and the nodes it reaches, each with its posterior, measurement
+and traces ``Tr(rho_c pi0)``. The two strategies differ only in what the
+feedforward remembers: the Markovian walk merges each level's children by
+last outcome, the Bayesian walk keeps every history. ``*_value`` return the
+walk's success probability, ``eval_*`` the measurement tree built from its
+nodes, and :func:`simulate_protocol` samples outcomes from its traces.
 :func:`values_objective` builds the function that computes the success
 probability of many schedules, channel pairs and strategies at once, level
 by level; the input optimizer calls it, and :func:`values` wraps it.
@@ -194,10 +197,6 @@ def _check(kind: StrategyKind, eta0: ChannelSpec, eta1: ChannelSpec, sched: Inpu
     _check_shots(kind, sched.shots)
 
 
-def _flat_pairs(eta0, eta1, sched):
-    return [(output_entries(eta0, r), output_entries(eta1, r)) for r in sched.levels]
-
-
 # ---------------------------------------------------------------------------
 # global strategy
 
@@ -284,49 +283,58 @@ def global_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> 
 
 
 # ---------------------------------------------------------------------------
-# bayesian strategy
+# feedforward strategies
 
 
-def _node_pair(eta0, eta1, sched, pairs, k: int, i: int):
-    """Output entries of both channels at node ``i`` of shot ``k + 1``."""
-    if pairs is not None:
-        return pairs[k]
-    r = sched.levels[k][i]
-    return output_entries(eta0, r), output_entries(eta1, r)
+def _walk(kind: StrategyKind, eta0, eta1, sched):
+    """Feedforward walk of the Bayesian or Markovian strategy.
 
+    Goes over the outcome tree level by level. Node ``i`` of level ``k``
+    measures shot k+1; it keeps its weights under channels 0 and 1, takes
+    the optimal one-shot measurement at their posterior, and passes them,
+    times the traces of each outcome, to its children 2i (outcome 0) and
+    2i + 1 (outcome 1). Bayesian node ``(k, i)`` is the history of k
+    outcomes that spells i in binary, first outcome highest. The Markovian
+    strategy merges each level's children by outcome into two nodes, so
+    that its node ``(k, i)`` follows last outcome i (the first shot's is
+    0). A node neither channel can reach is skipped, and its children get
+    zero weight. The final outcome is the guess.
 
-def _bayesian_walk(eta0, eta1, sched):
-    """Full-history feedforward: the success probability and its nodes.
-
-    Walks the outcome tree depth first. Node ``(k, idx)`` is the history of
-    k outcomes that spells idx in binary, first outcome highest. It
-    reweights the hypotheses by the likelihood of its history and takes the
-    optimal one-shot measurement at that weight; the leaves accumulate the
-    probability that the final outcome names the true channel. Returns
-    ``(p_succ, nodes)``, where ``nodes`` lists ``(k, idx, p0, case, n, t0,
-    t1)`` for each node reached, in visiting order, with ``n`` the Bloch
-    vector of its projector as :func:`success_and_traces` returns it.
+    Returns ``(p_succ, nodes)``, where ``nodes`` lists ``(k, i, p0, case,
+    n, t0, t1)`` for each node reached, level by level, with ``n`` the
+    Bloch vector of its projector as :func:`success_and_traces` returns it.
     """
-    _check(StrategyKind.BAYESIAN, eta0, eta1, sched)
-    last = sched.shots - 1
-    pairs = _flat_pairs(eta0, eta1, sched) if sched.mode is ScheduleMode.FLAT else None
+    _check(kind, eta0, eta1, sched)
+    merge = kind is StrategyKind.MARKOVIAN
+    flat = sched.mode is ScheduleMode.FLAT
     nodes = []
+    w = [(1.0, 1.0)]
+    for k, level in enumerate(sched.levels):
+        if flat:
+            s0, s1 = output_entries(eta0, level), output_entries(eta1, level)
+        nxt = []
+        for i, (l0, l1) in enumerate(w):
+            tot = l0 + l1
+            if tot <= 0.0:  # a node neither channel can reach
+                nxt += ((0.0, 0.0), (0.0, 0.0))
+                continue
+            if not flat:
+                s0, s1 = output_entries(eta0, level[i]), output_entries(eta1, level[i])
+            p0 = l0 / tot
+            case, _, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
+            nodes.append((k, i, p0, case, n, t0, t1))
+            nxt.append((l0 * t0, l1 * t1))
+            nxt.append((l0 * (1.0 - t0), l1 * (1.0 - t1)))
+        if merge and len(nxt) > 2:  # the children of nodes 0 and 1, by outcome
+            (a0, a1), (b0, b1), (c0, c1), (d0, d1) = nxt
+            nxt = [(a0 + c0, a1 + c1), (b0 + d0, b1 + d1)]
+        w = nxt
+    # The final outcome is the guess: it is right under channel 0 at the
+    # outcome-0 children, under channel 1 at the outcome-1 children. Summed
+    # from the last node to the first.
     total = 0.0
-    stack = [(0, 0, 1.0, 1.0)]
-    while stack:
-        k, idx, l0, l1 = stack.pop()
-        tot = l0 + l1
-        if tot <= 0.0:
-            continue  # a history neither channel can produce
-        s0, s1 = _node_pair(eta0, eta1, sched, pairs, k, idx)
-        p0 = l0 / tot
-        case, _, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
-        nodes.append((k, idx, p0, case, n, t0, t1))
-        if k == last:
-            total += l0 * t0 + l1 * (1.0 - t1)
-        else:
-            stack.append((k + 1, idx << 1, l0 * t0, l1 * t1))
-            stack.append((k + 1, (idx << 1) | 1, l0 * (1.0 - t0), l1 * (1.0 - t1)))
+    for (right0, _), (_, right1) in zip(reversed(w[0::2]), reversed(w[1::2])):
+        total += right0 + right1
     return 0.5 * total, nodes
 
 
@@ -343,7 +351,7 @@ def _strategy_eval(p_succ: float, nodes: list, key) -> StrategyEval:
 
 def eval_bayesian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
     """Full-history feedforward: one measurement node per outcome history."""
-    p, nodes = _bayesian_walk(eta0, eta1, sched)
+    p, nodes = _walk(StrategyKind.BAYESIAN, eta0, eta1, sched)
     return _strategy_eval(
         p, nodes, lambda k, idx: tuple((idx >> j) & 1 for j in range(k - 1, -1, -1))
     )
@@ -351,55 +359,18 @@ def eval_bayesian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) ->
 
 def bayesian_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
     """Success probability of the Bayesian strategy, no tree construction."""
-    return _bayesian_walk(eta0, eta1, sched)[0]
-
-
-# ---------------------------------------------------------------------------
-# markovian strategy
-
-
-def _markovian_walk(eta0, eta1, sched):
-    """Last-outcome feedforward, histories marginalized.
-
-    Keeps one weight per (channel, last outcome) pair. Node ``(k, prev)`` is
-    shot k+1 after outcome prev (the first shot is ``(0, 0)``): it solves
-    the one-shot problem at its weights and pushes them forward through the
-    chosen measurement. The final outcome is the guess. Returns
-    ``(p_succ, nodes)`` as :func:`_bayesian_walk` does.
-    """
-    _check(StrategyKind.MARKOVIAN, eta0, eta1, sched)
-    pairs = _flat_pairs(eta0, eta1, sched) if sched.mode is ScheduleMode.FLAT else None
-    nodes = []
-    # (weight under channel 0, under channel 1) per last outcome; before the
-    # first shot all weight sits on outcome 0.
-    w = ((1.0, 1.0), (0.0, 0.0))
-    for k in range(sched.shots):
-        n00 = n01 = n10 = n11 = 0.0
-        for prev, (m0, m1) in enumerate(w):
-            tot = m0 + m1
-            if tot <= 0.0:
-                continue  # a last outcome neither channel can produce
-            s0, s1 = _node_pair(eta0, eta1, sched, pairs, k, prev)
-            p0 = m0 / tot
-            case, _, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
-            nodes.append((k, prev, p0, case, n, t0, t1))
-            n00 += m0 * t0
-            n01 += m0 * (1.0 - t0)
-            n10 += m1 * t1
-            n11 += m1 * (1.0 - t1)
-        w = ((n00, n10), (n01, n11))
-    return 0.5 * (w[0][0] + w[1][1]), nodes
+    return _walk(StrategyKind.BAYESIAN, eta0, eta1, sched)[0]
 
 
 def eval_markovian(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:
     """Last-outcome feedforward: one measurement node per shot and last outcome."""
-    p, nodes = _markovian_walk(eta0, eta1, sched)
+    p, nodes = _walk(StrategyKind.MARKOVIAN, eta0, eta1, sched)
     return _strategy_eval(p, nodes, lambda k, prev: (k + 1, prev if k else None))
 
 
 def markovian_value(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
     """Success probability of the Markovian strategy, no tree construction."""
-    return _markovian_walk(eta0, eta1, sched)[0]
+    return _walk(StrategyKind.MARKOVIAN, eta0, eta1, sched)[0]
 
 
 def strategy_value(kind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> float:
@@ -581,7 +552,7 @@ def simulate_protocol(
     # prob0[k][c, i]: probability of outcome 0 at node i of shot k+1 under
     # channel c; a node the walk never reached keeps 0.5 and is never sampled.
     bayes = kind is StrategyKind.BAYESIAN
-    _, nodes = (_bayesian_walk if bayes else _markovian_walk)(eta0, eta1, sched)
+    _, nodes = _walk(kind, eta0, eta1, sched)
     prob0 = [np.full((2, w), 0.5) for w in level_widths(kind, ScheduleMode.ADAPTIVE, sched.shots)]
     for k, i, _, _, _, t0, t1 in nodes:
         prob0[k][:, i] = t0, t1

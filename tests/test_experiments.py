@@ -77,6 +77,10 @@ def test_rejects_bad_settings():
         make_config("bit-flip", grid=(0.0, 1.0, 1))
     with pytest.raises(ConfigError):
         make_config("bit-flip", points=[(0.5, 0.1)], jobs=0)
+    with pytest.raises(ConfigError):
+        make_config("bit-flip", points=[(0.5, 0.1)], max_starts=2)
+    with pytest.raises(ConfigError):
+        make_config("bit-flip", points=[(0.5, 0.1)], seed=-1)
 
 
 def test_damping_etas_are_fractions_of_quarter_turn():
@@ -573,6 +577,30 @@ def test_cli_config_null_settings_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd,settings,key", [
+    ("curve", {"points": [[0.7, 0.3]], "n-max": 3}, "n-max"),
+    ("curve", {"points": [[0.7, 0.3]], "fmt": "json"}, "fmt"),
+    ("sweep-diff", {"grid": [0, 1, 3], "points": [[0.7, 0.3]]}, "points"),
+])
+def test_cli_config_keys_the_command_does_not_read_exit_2(tmp_path, capsys, cmd, settings, key):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "bit-flip", **settings}))
+    assert main([cmd, "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_cli_config_file_out_and_format(tmp_path):
+    out = tmp_path / "rows.json"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "depolarizing", "points": [[0.75, 0.4]],
+                                    "strategies": "markovian", "format": "json",
+                                    "out": str(out)}))
+    assert main(["curve", "--config", str(cfg_file)]) == 0
+    with open(out) as fh:
+        assert len(read_records_json(fh)) == 1
+
+
 def test_cli_rejects_unknown_format(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"family": "depolarizing", "points": [[0.75, 0.4]],
@@ -594,6 +622,17 @@ def test_cli_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys
     # A path that passes the check but cannot be opened fails at write time.
     argv = ["curve", "--family", "depolarizing", "--eta0", "0.75", "--eta1", "0.4"]
     assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-max", "2", "--max-starts", "2"],
+    ["--n-max", "4", "--seed", "-1"],
+])
+def test_cli_optimizer_settings_that_cannot_run_exit_2(capsys, flags):
+    argv = ["curve", "--family", "bit-flip", "--eta0", "0.7", "--eta1", "0.3",
+            "--strategies", "markovian"]
+    assert main(argv + flags) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

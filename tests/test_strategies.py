@@ -27,7 +27,7 @@ from qcdisc.strategies import (
     values,
     values_objective,
 )
-from qcdisc.strategies import _bayesian_walk, _global_measurement, _kron_stack, _markovian_walk
+from qcdisc.strategies import _global_measurement, _kron_stack, _walk
 
 DEP = (ChannelSpec(ChannelFamily.DEPOLARIZING, 0.75), ChannelSpec(ChannelFamily.DEPOLARIZING, 0.4))
 BF = (ChannelSpec(ChannelFamily.BIT_FLIP, 0.75), ChannelSpec(ChannelFamily.BIT_FLIP, 0.4))
@@ -301,6 +301,21 @@ def test_posteriors_and_tree_shape(rng):
     assert all(0.0 <= p <= 1.0 for p in evm.posteriors.values())
 
 
+def test_trees_skip_unreachable_nodes():
+    # Identical channels: every measurement is a guess of 1, so only the
+    # all-ones history is reached.
+    spec = ChannelSpec(ChannelFamily.BIT_FLIP, 0.4)
+    sched = InputSchedule.flat([0.2, 0.5, 0.7])
+    assert set(eval_bayesian(spec, spec, sched).povm_tree) == {(), (1,), (1, 1)}
+    assert set(eval_markovian(spec, spec, sched).povm_tree) == {(1, None), (2, 1), (3, 1)}
+    # Full damping against the identity tells the channels apart at the
+    # first shot; the other outcome is impossible after it.
+    spec0 = ChannelSpec(ChannelFamily.AMPLITUDE_DAMPING, math.pi / 2)
+    spec1 = ChannelSpec(ChannelFamily.AMPLITUDE_DAMPING, 0.0)
+    ev = eval_bayesian(spec0, spec1, InputSchedule.flat([1.0, 1.0, 1.0]))
+    assert set(ev.povm_tree) == {(), (0,), (0, 0), (1,), (1, 1)}
+
+
 def test_posteriors_in_unit_interval_for_perfect_discrimination(rng):
     # Bit-flip at eta 1 and 0 maps r = 1 to orthogonal outputs. A trace that
     # rounds past 1 there would leave 1 - t a negative weight.
@@ -401,7 +416,7 @@ def sample_indexed(kind, spec0, spec1, sched, trials, seed):
         _, c0, c1 = _global_measurement(spec0, spec1, sched)
         return float((rng.random(trials) < np.array([c0, c1])[truth]).mean())
     bayes = kind == "bayesian"
-    _, nodes = (_bayesian_walk if bayes else _markovian_walk)(spec0, spec1, sched)
+    _, nodes = _walk(StrategyKind(kind), spec0, spec1, sched)
     tables = [np.full((2, 2**k if bayes else 2), 0.5) for k in range(sched.shots)]
     for k, i, _, _, _, t0, t1 in nodes:
         tables[k][:, i] = t0, t1
