@@ -17,9 +17,11 @@ import os
 import sys
 
 from . import __version__
+from .channels import ChannelFamily
 from .experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
+    VALID_STRATEGIES,
     VALID_SUITES,
     ConfigError,
     make_config,
@@ -29,6 +31,9 @@ from .experiments import (
     write_records_csv,
     write_records_json,
 )
+from .strategies import ScheduleMode
+
+_WRITERS = {"csv": write_records_csv, "json": write_records_json}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,10 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_shared(p, needs_points: bool):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument(
-            "--family",
-            choices=["depolarizing", "bit-flip", "amplitude-damping"],
-        )
+        p.add_argument("--family", choices=[family.value for family in ChannelFamily])
         if needs_points:
             p.add_argument(
                 "--eta0",
@@ -58,21 +60,21 @@ def build_parser() -> argparse.ArgumentParser:
                 type=float,
                 help="noise parameter of channel 1, paired with --eta0 in order",
             )
-            p.add_argument("--n-max", type=int, dest="n_max")
+            p.add_argument("--n-max", type=int)
             p.add_argument(
                 "--strategies",
-                help="comma-separated subset of global,bayesian,markovian",
+                help=f"comma-separated subset of {','.join(VALID_STRATEGIES)}",
             )
         else:
             p.add_argument("--grid", help="MIN:MAX:STEPS eta grid for both axes")
-        p.add_argument("--input-mode", choices=["flat", "adaptive"], dest="input_mode")
+        p.add_argument("--input-mode", choices=[mode.value for mode in ScheduleMode])
         p.add_argument("--seed", type=int)
         p.add_argument("--jobs", type=int)
-        p.add_argument("--value-tol", type=float, dest="value_tol")
-        p.add_argument("--max-evals", type=int, dest="max_evals")
-        p.add_argument("--max-starts", type=int, dest="max_starts")
+        p.add_argument("--value-tol", type=float)
+        p.add_argument("--max-evals", type=int)
+        p.add_argument("--max-starts", type=int)
         p.add_argument("--out", help="output path; stdout when omitted")
-        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--format", choices=list(_WRITERS))
 
     curve = sub.add_parser("curve", help="success probability vs shot count")
     add_shared(curve, needs_points=True)
@@ -141,8 +143,6 @@ def _config_from_args(args, needs_points: bool):
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
             given["points"] = list(zip(eta0, eta1))
-        if not given.get("points"):
-            raise ConfigError("curve requires at least one (eta0, eta1) point")
     else:
         if given.get("grid") is None:
             raise ConfigError("sweep-diff requires --grid MIN:MAX:STEPS")
@@ -150,15 +150,14 @@ def _config_from_args(args, needs_points: bool):
 
     out = given.pop("out", None)
     fmt = given.pop("format", "csv")
-    writers = {"csv": write_records_csv, "json": write_records_json}
-    if not isinstance(fmt, str) or fmt not in writers:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    if not isinstance(fmt, str) or fmt not in _WRITERS:
+        raise ConfigError(f"format must be {' or '.join(_WRITERS)}, got {fmt!r}")
     cfg = make_config(**given)
     if out:  # checked before the run, which may take hours
         folder = os.path.dirname(os.path.abspath(out))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
-    return cfg, writers[fmt], out
+    return cfg, _WRITERS[fmt], out
 
 
 def _emit(rows, fields, cfg, writer, out) -> None:

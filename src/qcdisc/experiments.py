@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .optimizer import OptimizerConfig, OptResult, maximize, maximize_batch  # n
 from .strategies import (
     GLOBAL_SHOT_CAP,
     InputSchedule,
+    ScheduleMode,
     StrategyKind,
     level_widths,
     simulate_protocol,
@@ -56,27 +58,9 @@ TOOL = f"qcdisc {__version__}"
 SWEEP_SHOTS = 3
 ADAPTIVE_PARAM_CAP = 64
 
-VALID_STRATEGIES = ("global", "bayesian", "markovian")
-VALID_SUITES = (
-    "oneshot-closed-forms",
-    "strategy-reductions",
-    "monte-carlo",
-    "povm-properties",
-)
-
-CURVE_FIELDS = (
-    "family",
-    "eta0",
-    "eta1",
-    "n",
-    "strategy",
-    "input_mode",
-    "p_succ",
-    "r_values",
-    "evaluations",
-    "wall_time_s",
-)
-SWEEP_FIELDS = ("eta0", "eta1", "p_bayes", "p_markov", "diff")
+VALID_STRATEGIES = tuple(kind.value for kind in StrategyKind)
+# The strategies that choose each shot's measurement from earlier outcomes.
+_FEEDFORWARD = (StrategyKind.BAYESIAN, StrategyKind.MARKOVIAN)
 
 
 class ConfigError(ValueError):
@@ -102,14 +86,9 @@ class ExperimentConfig:
     jobs: int
 
     def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["family"] = self.family.value
-        d["points"] = [list(p) for p in self.points]
-        d["points_entered"] = [list(p) for p in self.points_entered]
-        d["grid"] = list(self.grid) if self.grid else None
-        d["grid_entered"] = list(self.grid_entered) if self.grid_entered else None
-        d["strategies"] = list(self.strategies)
-        return d
+        """The config as JSON writes it: tuples as arrays, the family as its
+        value."""
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -135,14 +114,19 @@ class SweepRow:
     diff: float
 
 
+# The columns of the output files, in order: the fields of the row classes.
+CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
+SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+
+
 def _eta_scale(family: ChannelFamily) -> float:
     """Entered-to-raw conversion; fractions of pi/2 for amplitude damping."""
     return math.pi / 2 if family is ChannelFamily.AMPLITUDE_DAMPING else 1.0
 
 
-def _number(kind, value, name: str):
+def _number(kind, value, name: str, low=None):
     """``kind(value)``, or a :class:`ConfigError` naming the setting; an
-    integer setting takes no fraction."""
+    integer setting takes no fraction, and none may lie below ``low``."""
     try:
         number = kind(value)
     except (TypeError, ValueError):
@@ -150,6 +134,8 @@ def _number(kind, value, name: str):
     if number is None or (isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if low is not None and number < low:
+        raise ConfigError(f"{name} must be >= {low}, got {number}")
     return number
 
 
@@ -208,9 +194,7 @@ def make_config(
         entered_grid = (gmin, gmax, steps)
         raw_grid = (gmin * scale, gmax * scale, steps)
 
-    n_max = _number(int, n_max, "n_max")
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    n_max = _number(int, n_max, "n_max", 1)
     try:
         strategies = tuple(strategies)
     except TypeError:
@@ -219,18 +203,19 @@ def make_config(
         raise ConfigError(f"strategies must be a nonempty subset of {VALID_STRATEGIES}")
     if len(set(strategies)) != len(strategies):
         raise ConfigError(f"strategies must name each strategy once, got {strategies!r}")
-    if input_mode not in ("flat", "adaptive"):
-        raise ConfigError(f"input_mode must be flat or adaptive, got {input_mode!r}")
-    jobs = _number(int, jobs, "jobs")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    modes = [mode.value for mode in ScheduleMode]
+    if input_mode not in modes:
+        raise ConfigError(f"input_mode must be {' or '.join(modes)}, got {input_mode!r}")
+    jobs = _number(int, jobs, "jobs", 1)
     # Every search starts from the points (0, ...), (1/2, ...) and (1, ...).
-    max_starts = _number(int, max_starts, "max_starts")
-    if max_starts < 3:
-        raise ConfigError(f"max_starts must be >= 3, got {max_starts}")
-    seed = _number(int, seed, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    max_starts = _number(int, max_starts, "max_starts", 3)
+    seed = _number(int, seed, "seed", 0)
+    # A start stops once the value spread of its simplex falls below
+    # value_tol, or after max_evals evaluations; a spread never falls below
+    # 0, so a tolerance of 0 or less would run every start to the cap.
+    value_tol = _number(float, value_tol, "value_tol")
+    if not 0.0 < value_tol < math.inf:
+        raise ConfigError(f"value_tol must be positive and finite, got {value_tol!r}")
 
     return ExperimentConfig(
         family=family,
@@ -241,8 +226,8 @@ def make_config(
         n_max=n_max,
         strategies=strategies,
         input_mode=input_mode,
-        value_tol=_number(float, value_tol, "value_tol"),
-        max_evals=_number(int, max_evals, "max_evals"),
+        value_tol=value_tol,
+        max_evals=_number(int, max_evals, "max_evals", 1),
         max_starts=max_starts,
         seed=seed,
         jobs=jobs,
@@ -460,7 +445,7 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
     problems = [
         (kind, cell, cfg.seed + 104729 * i)
         for i, cell in enumerate(cells)
-        for kind in ("bayesian", "markovian")
+        for kind in _FEEDFORWARD
     ]
     (found,) = _search(cfg, problems, (SWEEP_SHOTS,))
     return [
@@ -602,7 +587,7 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
     worst_edge = 0.0
     for family, eta0, eta1, edge, inside in _EDGE_TIES:
         pair = ChannelSpec(family, eta0), ChannelSpec(family, eta1)
-        for kind in ("bayesian", "markovian"):
+        for kind in _FEEDFORWARD:
             gap = strategy_value(kind, *pair, InputSchedule.flat(edge))
             gap -= strategy_value(kind, *pair, InputSchedule.flat(inside))
             worst_edge = max(worst_edge, abs(gap))
@@ -612,7 +597,7 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
     for i in range(20):
         sched = InputSchedule.flat(rng.random(1 + i % 6))
         ref = strategy_value("global", *pair, sched)
-        for kind in ("bayesian", "markovian"):
+        for kind in _FEEDFORWARD:
             worst_pure = max(worst_pure, abs(strategy_value(kind, *pair, sched) - ref))
     return [
         CheckResult("reductions/one-shot", worst_one, 1e-12),
@@ -627,14 +612,10 @@ def _suite_monte_carlo(seed: int) -> list[CheckResult]:
     trials = 20000
     checks = []
     sched = InputSchedule.flat([0.3, 0.7, 0.5])
-    for family, (f0, f1) in (
-        (ChannelFamily.DEPOLARIZING, (0.75, 0.4)),
-        (ChannelFamily.BIT_FLIP, (0.75, 0.4)),
-        (ChannelFamily.AMPLITUDE_DAMPING, (0.75, 0.4)),
-    ):
+    for family in ChannelFamily:
         scale = _eta_scale(family)
-        spec0 = ChannelSpec(family, f0 * scale)
-        spec1 = ChannelSpec(family, f1 * scale)
+        spec0 = ChannelSpec(family, 0.75 * scale)
+        spec1 = ChannelSpec(family, 0.4 * scale)
         for kind in VALID_STRATEGIES:
             p = strategy_value(kind, spec0, spec1, sched)
             freq = simulate_protocol(kind, spec0, spec1, sched, trials, seed)
@@ -672,17 +653,20 @@ def _suite_povm(seed: int) -> list[CheckResult]:
     ]
 
 
+_SUITES = {
+    "oneshot-closed-forms": _suite_oneshot,
+    "strategy-reductions": _suite_reductions,
+    "monte-carlo": _suite_monte_carlo,
+    "povm-properties": _suite_povm,
+}
+VALID_SUITES = tuple(_SUITES)
+
+
 def run_validate(suite: str, seed: int = 0) -> list[CheckResult]:
     """Run one named self-check suite and return its checks."""
-    suites = {
-        "oneshot-closed-forms": _suite_oneshot,
-        "strategy-reductions": _suite_reductions,
-        "monte-carlo": _suite_monte_carlo,
-        "povm-properties": _suite_povm,
-    }
-    if suite not in suites:
+    if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {VALID_SUITES}")
-    return suites[suite](seed)
+    return _SUITES[suite](_number(int, seed, "seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -738,15 +722,21 @@ def write_records_json(rows, fields, cfg_dict: dict, fh) -> None:
     fh.write("\n")
 
 
-_INT_FIELDS = {"n", "evaluations"}
-_LIST_FIELDS = {"r_values"}
-_STR_FIELDS = {"family", "strategy", "input_mode"}
+# How a cell is read, by the type its row class declares; a column that no
+# row class declares reads as a float.
+_CELL_PARSERS = {
+    str: str,
+    int: int,
+    tuple: lambda cell: [float(v) for v in cell.split(";")] if cell else [],
+}
+_FIELD_TYPES = {**typing.get_type_hints(ResultRow), **typing.get_type_hints(SweepRow)}
 
 
 def _check_p_succ(rec: dict) -> None:
-    for key in ("p_succ", "p_bayes", "p_markov"):
-        if key in rec and not (0.5 - 1e-9 <= rec[key] <= 1.0 + 1e-9):
-            raise ValueError(f"{key}={rec[key]} outside [0.5, 1]")
+    """Every success probability, a column named ``p_*``, lies in [0.5, 1]."""
+    for key, value in rec.items():
+        if key.startswith("p_") and not (0.5 - 1e-9 <= value <= 1.0 + 1e-9):
+            raise ValueError(f"{key}={value} outside [0.5, 1]")
 
 
 def read_records_csv(fh) -> list[dict]:
@@ -758,22 +748,14 @@ def read_records_csv(fh) -> list[dict]:
             continue
         if fields is None:
             fields = line.split(",")
+            parsers = [_CELL_PARSERS.get(_FIELD_TYPES.get(key), float) for key in fields]
             continue
         cells = line.split(",")
         if len(cells) != len(fields):
             raise ValueError(
                 f"line {lineno} has {len(cells)} cells, the header {len(fields)}"
             )
-        rec = {}
-        for key, cell in zip(fields, cells):
-            if key in _STR_FIELDS:
-                rec[key] = cell
-            elif key in _INT_FIELDS:
-                rec[key] = int(cell)
-            elif key in _LIST_FIELDS:
-                rec[key] = [float(v) for v in cell.split(";")] if cell else []
-            else:
-                rec[key] = float(cell)
+        rec = {key: parse(cell) for key, parse, cell in zip(fields, parsers, cells)}
         _check_p_succ(rec)
         records.append(rec)
     return records

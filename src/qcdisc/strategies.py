@@ -298,7 +298,8 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
     strategy merges each level's children by outcome into two nodes, so
     that its node ``(k, i)`` follows last outcome i (the first shot's is
     0). A node neither channel can reach is skipped, and its children get
-    zero weight. The final outcome is the guess.
+    zero weight. The final outcome is the guess: a node of the last level
+    has no children, and adds its success times its total weight.
 
     Returns ``(p_succ, nodes)``, where ``nodes`` lists ``(k, i, p0, case,
     n, t0, t1)`` for each node reached, level by level, with ``n`` the
@@ -309,6 +310,7 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
     flat = sched.mode is ScheduleMode.FLAT
     nodes = []
     w = [(1.0, 1.0)]
+    total = 0.0
     for k, level in enumerate(sched.levels):
         if flat:
             s0, s1 = output_entries(eta0, level), output_entries(eta1, level)
@@ -321,20 +323,17 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
             if not flat:
                 s0, s1 = output_entries(eta0, level[i]), output_entries(eta1, level[i])
             p0 = l0 / tot
-            case, _, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
+            case, p, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
             nodes.append((k, i, p0, case, n, t0, t1))
+            if k == sched.shots - 1:
+                total += tot * p
+                continue
             nxt.append((l0 * t0, l1 * t1))
             nxt.append((l0 * (1.0 - t0), l1 * (1.0 - t1)))
         if merge and len(nxt) > 2:  # the children of nodes 0 and 1, by outcome
             (a0, a1), (b0, b1), (c0, c1), (d0, d1) = nxt
             nxt = [(a0 + c0, a1 + c1), (b0 + d0, b1 + d1)]
         w = nxt
-    # The final outcome is the guess: it is right under channel 0 at the
-    # outcome-0 children, under channel 1 at the outcome-1 children. Summed
-    # from the last node to the first.
-    total = 0.0
-    for (right0, _), (_, right1) in zip(reversed(w[0::2]), reversed(w[1::2])):
-        total += right0 + right1
     return 0.5 * total, nodes
 
 

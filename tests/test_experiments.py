@@ -81,6 +81,11 @@ def test_rejects_bad_settings():
         make_config("bit-flip", points=[(0.5, 0.1)], max_starts=2)
     with pytest.raises(ConfigError):
         make_config("bit-flip", points=[(0.5, 0.1)], seed=-1)
+    for value_tol in (-1.0, 0.0, math.inf):
+        with pytest.raises(ConfigError):
+            make_config("bit-flip", points=[(0.5, 0.1)], value_tol=value_tol)
+    with pytest.raises(ConfigError):
+        make_config("bit-flip", points=[(0.5, 0.1)], max_evals=0)
 
 
 def test_damping_etas_are_fractions_of_quarter_turn():
@@ -464,6 +469,28 @@ def test_read_back_rejects_rows_of_the_wrong_length():
             read_records_csv(io.StringIO(header + bad + "\n"))
 
 
+def test_csv_cells_read_back_as_their_declared_types():
+    curve_cfg = small_curve_config(n_max=2)
+    sweep_cfg = make_config("depolarizing", grid=(0.2, 0.8, 3))
+    records = []
+    for rows, fields, cfg in (
+        (run_curve(curve_cfg), CURVE_FIELDS, curve_cfg),
+        (run_sweep_diff(sweep_cfg), SWEEP_FIELDS, sweep_cfg),
+    ):
+        buf = io.StringIO()
+        write_records_csv(rows, fields, cfg.as_dict(), buf)
+        back = read_records_csv(io.StringIO(buf.getvalue()))
+        assert back and all(list(rec) == list(fields) for rec in back)
+        records += back
+    kinds = {"n": int, "evaluations": int, "r_values": list,
+             "family": str, "strategy": str, "input_mode": str}
+    for rec in records:
+        for key, value in rec.items():
+            assert type(value) is kinds.get(key, float), key
+        for r in rec.get("r_values", ()):
+            assert type(r) is float
+
+
 def test_sweep_rows_round_trip():
     cfg = make_config("bit-flip", grid=(0.2, 0.8, 3), seed=1)
     rows = run_sweep_diff(cfg)
@@ -628,6 +655,7 @@ def test_cli_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("flags", [
     ["--n-max", "2", "--max-starts", "2"],
     ["--n-max", "4", "--seed", "-1"],
+    ["--value-tol", "-1"],
 ])
 def test_cli_optimizer_settings_that_cannot_run_exit_2(capsys, flags):
     argv = ["curve", "--family", "bit-flip", "--eta0", "0.7", "--eta1", "0.3",
@@ -647,6 +675,9 @@ def test_cli_validate_exit_codes():
     assert "checks passed" in proc.stdout
     proc = run_cli("validate", "not-a-suite")
     assert proc.returncode == 2
+    proc = run_cli("validate", "monte-carlo", "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
