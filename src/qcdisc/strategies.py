@@ -19,7 +19,10 @@ and traces ``Tr(rho_c pi0)``. The two strategies differ only in what the
 feedforward remembers: the Markovian walk merges each level's children by
 last outcome, the Bayesian walk keeps every history. ``*_value`` return the
 walk's success probability, ``eval_*`` the measurement tree built from its
-nodes, and :func:`simulate_protocol` samples outcomes from its traces.
+nodes, and :func:`simulate_protocol` samples from its traces how many trials
+reach each node, at a cost that does not grow with the number of trials
+(seeded frequencies differ from earlier versions, which sampled trial by
+trial).
 :func:`values_objective` builds the function that computes the success
 probability of many schedules, channel pairs and strategies at once, level
 by level; the input optimizer calls it, and :func:`values` wraps it.
@@ -40,6 +43,7 @@ optimizer that reaches r1* reports the upper side of the jump.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,6 +315,7 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
     nodes = []
     w = [(1.0, 1.0)]
     total = 0.0
+    last = sched.shots - 1
     for k, level in enumerate(sched.levels):
         if flat:
             s0, s1 = output_entries(eta0, level), output_entries(eta1, level)
@@ -325,7 +330,7 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
             p0 = l0 / tot
             case, p, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
             nodes.append((k, i, p0, case, n, t0, t1))
-            if k == sched.shots - 1:
+            if k == last:
                 total += tot * p
                 continue
             nxt.append((l0 * t0, l1 * t1))
@@ -533,32 +538,46 @@ def simulate_protocol(
 ) -> float:
     """Sampled success frequency of a strategy's measurement tree.
 
-    Draws the true channel uniformly per trial, samples each measurement
-    outcome from its exact distribution, and scores the final outcome as
-    the guess. Deterministic for a fixed seed.
+    Samples how many trials reach each node, not each trial's path: the
+    trials under channel 0 are binomial(trials, 1/2), and every node splits
+    its count under each channel between its two outcomes with one binomial
+    draw at the node's trace Tr(rho_c pi0). The final outcome is the guess.
+    Conditional binomial splitting draws the same multinomial over the
+    leaves as a walk trial by trial (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. XI), so the frequency has the same distribution,
+    at a cost that grows with the nodes of the tree and not with
+    ``trials``. Deterministic for a fixed seed; seeded frequencies differ
+    from earlier versions, which sampled trial by trial.
     """
+    try:
+        trials = operator.index(trials)  # a float would be truncated by the draws
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     kind = StrategyKind(kind)
     rng = np.random.default_rng(seed)
-    truth = rng.integers(0, 2, size=trials)
+    first = rng.binomial(trials, 0.5)
+    count = np.array([[first], [trials - first]])  # (channel, node)
 
     if kind is StrategyKind.GLOBAL:
         _, c0, c1 = _global_measurement(eta0, eta1, sched)
-        hit = rng.random(trials) < np.array([c0, c1])[truth]
-        return float(hit.mean())
+        # On identical channels a trace can round just past 1.
+        hits = rng.binomial(count[:, 0], np.clip((c0, c1), 0.0, 1.0))
+        return float(hits.sum() / trials)
 
     # prob0[k][c, i]: probability of outcome 0 at node i of shot k+1 under
-    # channel c; a node the walk never reached keeps 0.5 and is never sampled.
+    # channel c; a node the walk never reached keeps 0.5 and a count of 0.
     bayes = kind is StrategyKind.BAYESIAN
     _, nodes = _walk(kind, eta0, eta1, sched)
     prob0 = [np.full((2, w), 0.5) for w in level_widths(kind, ScheduleMode.ADAPTIVE, sched.shots)]
     for k, i, _, _, _, t0, t1 in nodes:
         prob0[k][:, i] = t0, t1
-    node = np.zeros(trials, dtype=np.int64)
     for p0out in prob0:
-        # A flat take reads the same entries as p0out[truth, node], faster.
-        p0 = p0out.ravel().take(truth * p0out.shape[1] + node)
-        bit = (rng.random(trials) >= p0).astype(np.int64)
-        node = (node << 1) | bit if bayes else bit
-    return float(((node & 1) == truth).mean())
+        zero = rng.binomial(count, p0out)
+        one = count - zero
+        if bayes:  # node i's children 2i and 2i + 1
+            count = np.stack((zero, one), axis=2).reshape(2, -1)
+        else:  # the children merged by outcome
+            count = np.stack((zero.sum(axis=1), one.sum(axis=1)), axis=1)
+    return float((count[0, 0::2].sum() + count[1, 1::2].sum()) / trials)

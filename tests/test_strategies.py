@@ -368,31 +368,59 @@ def test_simulation_perfect_discrimination():
             assert simulate_protocol(kind, spec0, spec1, sched, 2000, seed=1) == 1.0, (kind, r_values)
 
 
+def _split_counts(rng, kind, count, prob0):
+    """One level of node counts: node i under channel c sends a binomial
+    share at ``prob0(c, i)`` of its trials to child 2i (outcome 0) and the
+    rest to 2i + 1; the Markovian kind merges the children by outcome. The
+    draws go one per channel and node, channel outermost."""
+    nxt = [[0] * (2 * len(count[0])) for _ in count]
+    for c, row in enumerate(count):
+        for i, n in enumerate(row):
+            zero = rng.binomial(n, prob0(c, i))
+            nxt[c][2 * i], nxt[c][2 * i + 1] = zero, n - zero
+    if kind == "markovian":
+        nxt = [[sum(row[0::2]), sum(row[1::2])] for row in nxt]
+    return nxt
+
+
+def _first_counts(rng, trials):
+    first = rng.binomial(trials, 0.5)
+    return [[first], [trials - first]]  # trials per channel and node
+
+
+def _hit_frequency(count, trials):
+    """Trials whose last outcome names their channel, as a frequency."""
+    return (sum(count[0][0::2]) + sum(count[1][1::2])) / trials
+
+
 def sample_tree(kind, spec0, spec1, sched, trials, seed):
     """Success frequency sampled from the measurement tree of ``eval_*``.
 
-    Takes the draws of :func:`simulate_protocol` in the same order: the true
-    channel of every trial, then one uniform per trial and shot, read as
-    outcome 0 when it falls below Tr(rho pi0) of the node reached.
+    Takes the draws of :func:`simulate_protocol` in the same order: the
+    trials under channel 0, then level by level one binomial per channel and
+    node for the trials that see outcome 0, at Tr(rho pi0) of the node's
+    measurement in the tree (clamped into [0, 1]), or 1/2 at a node the tree
+    does not hold.
     """
     ev = EVALUATORS[kind](spec0, spec1, sched)
+    specs = (spec0, spec1)
+
+    def key(k, i):
+        if kind == "bayesian":
+            return tuple(int(b) for b in format(i, f"0{k}b")) if k else ()
+        return (k + 1, i if k else None)
+
+    def prob0(k, c, i):
+        if key(k, i) not in ev.povm_tree:
+            return 0.5
+        p0 = outcome_probs(channel_matrix(specs[c], sched, k, i), ev.povm_tree[key(k, i)])[0]
+        return min(max(p0, 0.0), 1.0)
+
     rng = np.random.default_rng(seed)
-    truth = rng.integers(0, 2, size=trials)
-    hist = np.zeros(trials, dtype=np.int64)  # outcomes so far, in binary
+    count = _first_counts(rng, trials)
     for k in range(sched.shots):
-        draw = rng.random(trials)
-        p0out = np.empty(trials)
-        for h in np.unique(hist):
-            bits = tuple(int(b) for b in format(h, f"0{k}b")) if k else ()
-            if kind == "bayesian":
-                key, node = bits, h
-            else:
-                key, node = (k + 1, bits[-1] if k else None), (bits[-1] if k else 0)
-            for c, spec in enumerate((spec0, spec1)):
-                rho = channel_matrix(spec, sched, k, node)
-                p0out[(hist == h) & (truth == c)] = outcome_probs(rho, ev.povm_tree[key])[0]
-        hist = (hist << 1) | (draw >= p0out)
-    return float(((hist & 1) == truth).mean())
+        count = _split_counts(rng, kind, count, functools.partial(prob0, k))
+    return _hit_frequency(count, trials)
 
 
 @pytest.mark.parametrize("kind", ["bayesian", "markovian"])
@@ -405,26 +433,30 @@ def test_simulation_samples_the_tree(rng, kind, mode):
             sched = schedule_of_row(kind, mode, rng.random(d))
             seed = int(rng.integers(2**31))
             freq = simulate_protocol(kind, spec0, spec1, sched, trials, seed)
-            assert abs(freq - sample_tree(kind, spec0, spec1, sched, trials, seed)) <= 1.0 / trials
+            # At most one trial apart, counted in trials: a rounding-level
+            # difference in a node's probability can move a binomial draw,
+            # and k/trials - (k-1)/trials can round past 1/trials.
+            gap = abs(freq - sample_tree(kind, spec0, spec1, sched, trials, seed))
+            assert round(gap * trials) <= 1
 
 
 def sample_indexed(kind, spec0, spec1, sched, trials, seed):
-    """The simulator's draws, read from the walk's trace tables by a 2-D index."""
+    """The simulator's draws, one binomial per channel and node, read from
+    the walk's trace tables."""
     rng = np.random.default_rng(seed)
-    truth = rng.integers(0, 2, size=trials)
+    count = _first_counts(rng, trials)
     if kind == "global":
         _, c0, c1 = _global_measurement(spec0, spec1, sched)
-        return float((rng.random(trials) < np.array([c0, c1])[truth]).mean())
+        hits = [rng.binomial(row[0], min(max(c, 0.0), 1.0)) for row, c in zip(count, (c0, c1))]
+        return sum(hits) / trials
     bayes = kind == "bayesian"
     _, nodes = _walk(StrategyKind(kind), spec0, spec1, sched)
     tables = [np.full((2, 2**k if bayes else 2), 0.5) for k in range(sched.shots)]
     for k, i, _, _, _, t0, t1 in nodes:
         tables[k][:, i] = t0, t1
-    node = np.zeros(trials, dtype=np.int64)
     for table in tables:
-        bit = (rng.random(trials) >= table[truth, node]).astype(np.int64)
-        node = (node << 1) | bit if bayes else bit
-    return float(((node & 1) == truth).mean())
+        count = _split_counts(rng, kind, count, lambda c, i: table[c, i])
+    return _hit_frequency(count, trials)
 
 
 @pytest.mark.parametrize("kind,mode", [
@@ -450,8 +482,43 @@ def test_simulation_identical_channels_near_half():
 
 
 def test_simulation_rejects_bad_trials():
-    with pytest.raises(ValueError):
-        simulate_protocol("markovian", *BF, InputSchedule.flat([0.5]), 0, seed=1)
+    # A float would be truncated by the binomial draws: 2.5 trials run as 2.
+    for trials in (0, 2.5, "100"):
+        with pytest.raises(ValueError):
+            simulate_protocol("markovian", *BF, InputSchedule.flat([0.5]), trials, seed=1)
+    freq = simulate_protocol("markovian", *BF, InputSchedule.flat([0.5]), np.int64(100), seed=1)
+    assert 0.0 <= freq <= 1.0
+
+
+def test_global_simulation_identical_channels_trace_past_one():
+    # The collective measurement's trace c0 rounds to 1.0000000000000002
+    # here, which a binomial draw rejects unless it is clamped.
+    spec = ChannelSpec(ChannelFamily.BIT_FLIP, 0.1)
+    sched = InputSchedule.flat([0.1, 0.1])
+    trials = 100000
+    freq = simulate_protocol("global", spec, spec, sched, trials, seed=2)
+    assert abs(freq - 0.5) <= 4.0 * 0.5 / math.sqrt(trials)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_simulation_cost_does_not_grow_with_trials(kind):
+    # Trial by trial this would take terabytes; by node counts it is instant.
+    trials = 10**12
+    sched = InputSchedule.flat([0.3, 0.7, 0.5])
+    p = strategy_value(kind, *AD, sched)
+    freq = simulate_protocol(kind, *AD, sched, trials, seed=5)
+    assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_simulation_spread_is_binomial(kind):
+    trials, seeds = 2000, 200
+    sched = InputSchedule.flat([0.3, 0.7, 0.5])
+    p = strategy_value(kind, *BF, sched)
+    sigma = math.sqrt(p * (1.0 - p) / trials)
+    freqs = np.array([simulate_protocol(kind, *BF, sched, trials, seed) for seed in range(seeds)])
+    assert abs(freqs.mean() - p) <= 4.0 * sigma / math.sqrt(seeds)
+    assert 0.8 * sigma <= freqs.std(ddof=1) <= 1.25 * sigma
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Time the scalar feedforward evaluators of one checkout.
+"""Time the scalar feedforward evaluators and the simulator of one checkout.
 
 Usage, from anywhere:
 
@@ -7,7 +7,9 @@ Usage, from anywhere:
 Reads the (strategy, schedule mode, shot count) triples of the Bayesian and
 Markovian entries of ``EVALUATE_PLAN`` in ``PATH/perfbench/workloads.py``,
 and times ``bayesian_value``, ``markovian_value``, ``eval_bayesian`` and
-``eval_markovian`` at each, with qcdisc imported from ``PATH/src`` and BLAS
+``eval_markovian`` at each; it also times ``simulate_protocol`` at the
+triples of the plan's ``simulate_protocol`` entries, with ``SIM_TRIALS``
+trials and the seed S. qcdisc is imported from ``PATH/src``, with BLAS
 pinned to one thread before numpy loads. Each triple gets one seeded
 schedule per family at the benchmark's point (eta0, eta1) = (0.75, 0.4) in
 the family's units, r drawn from [0.05, 0.95] as the benchmark draws it. A
@@ -47,18 +49,26 @@ def _cpu() -> str:
     return platform.processor()
 
 
-def _plan_triples(workloads: Path) -> list:
-    """Sorted (kind, mode, n) of the plan's Bayesian and Markovian entries."""
+def _literal(workloads: Path, name: str):
+    """The literal value assigned to ``name`` at the top of ``workloads``."""
     for node in ast.parse(workloads.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "EVALUATE_PLAN" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            plan = ast.literal_eval(node.value)
-            break
-    else:
-        raise SystemExit(f"error: no EVALUATE_PLAN in {workloads}")
-    return sorted({(kind, mode, n) for _, kind, mode, shots in plan if kind in FEEDFORWARD
-                   for n in shots})
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"error: no {name} in {workloads}")
+
+
+def _plan_triples(plan) -> list:
+    """(functions, kind, mode, n) to time: the evaluators at the sorted
+    (kind, mode, n) of the plan's Bayesian and Markovian entries, then the
+    simulator at those of its own entries."""
+    walks = sorted({(kind, mode, n) for _, kind, mode, shots in plan if kind in FEEDFORWARD
+                    for n in shots})
+    sims = sorted({(kind, mode, n) for func, kind, mode, shots in plan
+                   if func == "simulate_protocol" for n in shots})
+    return [((f"{kind}_value", f"eval_{kind}"), kind, mode, n) for kind, mode, n in walks] + [
+        (("simulate_protocol",), kind, mode, n) for kind, mode, n in sims]
 
 
 def main(argv=None) -> int:
@@ -80,11 +90,14 @@ def main(argv=None) -> int:
 
     if Path(qcdisc.__file__).resolve().parent != root / "src" / "qcdisc":
         raise SystemExit(f"error: imported qcdisc from {qcdisc.__file__}, not {root / 'src'}")
+    workloads = root / "perfbench" / "workloads.py"
+    trials = _literal(workloads, "SIM_TRIALS")
     rng = np.random.default_rng(args.seed)
     record = {
         "checkout": str(root),
         "rounds": args.rounds,
         "seed": args.seed,
+        "sim_trials": trials,
         "machine": {
             "cpu": _cpu(),
             "nproc": os.cpu_count(),
@@ -95,7 +108,7 @@ def main(argv=None) -> int:
         "us_per_call": {},
     }
     entries = {}
-    for kind, mode, n in _plan_triples(root / "perfbench" / "workloads.py"):
+    for names, kind, mode, n in _plan_triples(_literal(workloads, "EVALUATE_PLAN")):
         cases = []
         for family, scale in FAMILIES.items():
             spec0, spec1 = (ChannelSpec(family, f * scale) for f in POINT)
@@ -105,8 +118,15 @@ def main(argv=None) -> int:
                 widths = [2**k if kind == "bayesian" else min(2**k, 2) for k in range(n)]
                 sched = strategies.InputSchedule.adaptive([rng.uniform(0.05, 0.95, w) for w in widths])
             cases.append((spec0, spec1, sched))
-        for name in (f"{kind}_value", f"eval_{kind}"):
-            entries[f"{name}/{mode}/n={n}"] = (getattr(strategies, name), cases)
+        for name in names:
+            if name == "simulate_protocol":
+                def simulate(spec0, spec1, sched, kind=kind):
+                    return strategies.simulate_protocol(kind, spec0, spec1, sched, trials,
+                                                        args.seed)
+
+                entries[f"{name}/{kind}/{mode}/n={n}"] = (simulate, cases)
+            else:
+                entries[f"{name}/{mode}/n={n}"] = (getattr(strategies, name), cases)
     for func, cases in entries.values():  # untimed, so that lazy set-up is not counted
         for case in cases:
             func(*case)
