@@ -26,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ast  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -57,18 +58,6 @@ def _literal(workloads: Path, name: str):
         ):
             return ast.literal_eval(node.value)
     raise SystemExit(f"error: no {name} in {workloads}")
-
-
-def _plan_triples(plan) -> list:
-    """(functions, kind, mode, n) to time: the evaluators at the sorted
-    (kind, mode, n) of the plan's Bayesian and Markovian entries, then the
-    simulator at those of its own entries."""
-    walks = sorted({(kind, mode, n) for _, kind, mode, shots in plan if kind in FEEDFORWARD
-                    for n in shots})
-    sims = sorted({(kind, mode, n) for func, kind, mode, shots in plan
-                   if func == "simulate_protocol" for n in shots})
-    return [((f"{kind}_value", f"eval_{kind}"), kind, mode, n) for kind, mode, n in walks] + [
-        (("simulate_protocol",), kind, mode, n) for kind, mode, n in sims]
 
 
 def main(argv=None) -> int:
@@ -107,8 +96,9 @@ def main(argv=None) -> int:
         },
         "us_per_call": {},
     }
-    entries = {}
-    for names, kind, mode, n in _plan_triples(_literal(workloads, "EVALUATE_PLAN")):
+
+    def cases_at(kind, mode, n):
+        """One seeded schedule per family for the triple."""
         cases = []
         for family, scale in FAMILIES.items():
             spec0, spec1 = (ChannelSpec(family, f * scale) for f in POINT)
@@ -118,15 +108,22 @@ def main(argv=None) -> int:
                 widths = [2**k if kind == "bayesian" else min(2**k, 2) for k in range(n)]
                 sched = strategies.InputSchedule.adaptive([rng.uniform(0.05, 0.95, w) for w in widths])
             cases.append((spec0, spec1, sched))
-        for name in names:
-            if name == "simulate_protocol":
-                def simulate(spec0, spec1, sched, kind=kind):
-                    return strategies.simulate_protocol(kind, spec0, spec1, sched, trials,
-                                                        args.seed)
+        return cases
 
-                entries[f"{name}/{kind}/{mode}/n={n}"] = (simulate, cases)
-            else:
-                entries[f"{name}/{mode}/n={n}"] = (getattr(strategies, name), cases)
+    plan = _literal(workloads, "EVALUATE_PLAN")
+    entries = {}
+    walks = {(kind, mode, n) for _, kind, mode, shots in plan if kind in FEEDFORWARD for n in shots}
+    for kind, mode, n in sorted(walks):
+        cases = cases_at(kind, mode, n)
+        for name in (f"{kind}_value", f"eval_{kind}"):
+            entries[f"{name}/{mode}/n={n}"] = (getattr(strategies, name), cases)
+    sims = {(kind, mode, n) for func, kind, mode, shots in plan if func == "simulate_protocol"
+            for n in shots}
+    for kind, mode, n in sorted(sims):
+        entries[f"simulate_protocol/{kind}/{mode}/n={n}"] = (
+            functools.partial(strategies.simulate_protocol, kind, trials=trials, seed=args.seed),
+            cases_at(kind, mode, n),
+        )
     for func, cases in entries.values():  # untimed, so that lazy set-up is not counted
         for case in cases:
             func(*case)
