@@ -12,6 +12,7 @@ config files are fractions of pi/2; output rows carry radians.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -120,10 +121,12 @@ def _parse_grid(text) -> tuple:
 
 def _config_from_args(args, needs_points: bool):
     file_cfg = _load_file_config(args.config)
-    # The settings given by flag or file; make_config holds the defaults, so
+    # The settings given by flag or file: make_config's parameters but the
+    # other command's, plus the output's. make_config holds the defaults, so
     # a null in the file is refused, not defaulted (a null out means stdout).
-    keys = ["family", "strategies", "input_mode", "value_tol", "max_evals", "max_starts",
-            "seed", "jobs", "out", "format"] + (["n_max", "points"] if needs_points else ["grid"])
+    other = {"grid"} if needs_points else {"n_max", "points"}
+    params = inspect.signature(make_config).parameters
+    keys = [key for key in params if key not in other] + ["out", "format"]
     unknown = sorted(set(file_cfg) - set(keys))
     if unknown:
         raise ConfigError(f"{args.cmd} reads no config key {', '.join(map(repr, unknown))}; "

@@ -26,10 +26,11 @@ from .helstrom import WeightedPair, brute_force_povm, optimal_povm, povm_defect
 # traced benchmark run (perfbench/run.py) wraps experiments.maximize.
 from .optimizer import OptimizerConfig, OptResult, maximize, maximize_batch  # noqa: F401
 from .strategies import (
-    GLOBAL_SHOT_CAP,
+    SHOT_CAP,
     InputSchedule,
     ScheduleMode,
     StrategyKind,
+    _check_family,
     level_widths,
     simulate_protocol,
     strategy_value,
@@ -189,7 +190,7 @@ def make_config(
         steps = _number(int, steps, "grid steps")
         if steps < 2:
             raise ConfigError(f"grid needs at least 2 steps, got {steps}")
-        if not (0.0 <= gmin * scale < gmax * scale <= hi + 1e-12):
+        if not (0.0 <= gmin * scale < gmax * scale <= hi):
             raise ConfigError(f"grid [{gmin:g}, {gmax:g}] invalid for {family.value}")
         entered_grid = (gmin, gmax, steps)
         raw_grid = (gmin * scale, gmax * scale, steps)
@@ -207,15 +208,16 @@ def make_config(
     if input_mode not in modes:
         raise ConfigError(f"input_mode must be {' or '.join(modes)}, got {input_mode!r}")
     jobs = _number(int, jobs, "jobs", 1)
-    # Every search starts from the points (0, ...), (1/2, ...) and (1, ...).
-    max_starts = _number(int, max_starts, "max_starts", 3)
-    seed = _number(int, seed, "seed", 0)
-    # A start stops once the value spread of its simplex falls below
-    # value_tol, or after max_evals evaluations; a spread never falls below
-    # 0, so a tolerance of 0 or less would run every start to the cap.
-    value_tol = _number(float, value_tol, "value_tol")
-    if not 0.0 < value_tol < math.inf:
-        raise ConfigError(f"value_tol must be positive and finite, got {value_tol!r}")
+    opt = dict(
+        value_tol=_number(float, value_tol, "value_tol"),
+        max_evals=_number(int, max_evals, "max_evals"),
+        max_starts=_number(int, max_starts, "max_starts"),
+        seed=_number(int, seed, "seed"),
+    )
+    try:  # OptimizerConfig holds the limits of the search settings
+        OptimizerConfig(**opt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     return ExperimentConfig(
         family=family,
@@ -226,11 +228,8 @@ def make_config(
         n_max=n_max,
         strategies=strategies,
         input_mode=input_mode,
-        value_tol=value_tol,
-        max_evals=_number(int, max_evals, "max_evals", 1),
-        max_starts=max_starts,
-        seed=seed,
         jobs=jobs,
+        **opt,
     )
 
 
@@ -277,10 +276,12 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
     zero point of its layout.
     """
     groups: dict = {}
+    tied = set()  # the strategies warned of below, once each
     for i, (kind, _, _) in enumerate(problems):
         kind = StrategyKind(kind)
         d, mode = _layout(kind, shots, input_mode)
-        if mode != input_mode and kind is not StrategyKind.GLOBAL:
+        if mode != input_mode and kind is not StrategyKind.GLOBAL and kind not in tied:
+            tied.add(kind)
             print(
                 f"warning: {kind.value} inputs tied per shot for n={shots}: an adaptive "
                 f"schedule has {sum(level_widths(kind, input_mode, shots))} parameters "
@@ -325,10 +326,7 @@ def optimize_strategy(
     depolarizing family is input independent, so it is evaluated once at
     the all-|0> schedule of its layout instead of being optimized.
     """
-    if spec0.family is not spec1.family:
-        raise ValueError(
-            f"channel families differ: {spec0.family.value} vs {spec1.family.value}"
-        )
+    _check_family(spec0, spec1)
     res = _optimize([(kind, (spec0.eta, spec1.eta), opt_cfg)], spec0.family, shots, input_mode)[0]
     return res.best_value, tuple(float(v) for v in res.best_point), res.evaluations
 
@@ -339,7 +337,7 @@ def _search_task(payload) -> list[list[tuple]]:
 
     Each count makes one :func:`_optimize` call over the problems, and
     yields one ``(result, wall time of that call)`` per problem, the result
-    None for a global problem past ``GLOBAL_SHOT_CAP``. In flat mode a
+    None for a problem past its strategy's ``SHOT_CAP``. In flat mode a
     problem also starts from its best inputs at the count before, extended
     by 0, 1/2 and 1.
     """
@@ -348,7 +346,7 @@ def _search_task(payload) -> list[list[tuple]]:
     out = []
     for shots in counts:
         live = [j for j, (kind, _, _) in enumerate(problems)
-                if kind != "global" or shots <= GLOBAL_SHOT_CAP]
+                if shots <= SHOT_CAP[StrategyKind(kind)]]
         batch = []
         for j in live:
             kind, point, seed = problems[j]
@@ -393,14 +391,15 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
     Every (point, strategy) problem at one shot count runs in one lockstep
     search (one per run of problems with ``jobs`` > 1), each problem with
     the seed of its point, and gets the same result as a search of its own.
+    A strategy gets no row past its ``SHOT_CAP``, and one warning per n skipped.
     """
     if not cfg.points:
         raise ConfigError("curve requires at least one (eta0, eta1) point")
     counts = range(1, cfg.n_max + 1)
-    if "global" in cfg.strategies:
-        for shots in counts[GLOBAL_SHOT_CAP:]:
-            print(f"warning: global strategy skipped for n={shots} (cap {GLOBAL_SHOT_CAP})",
-                  file=sys.stderr)
+    for kind in cfg.strategies:
+        cap = SHOT_CAP[StrategyKind(kind)]
+        for shots in (n for n in counts if n > cap):
+            print(f"warning: {kind} strategy skipped for n={shots} (cap {cap})", file=sys.stderr)
     problems = [
         (kind, point, cfg.seed + 7919 * i)
         for i, point in enumerate(cfg.points)
@@ -435,7 +434,8 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
     splits the problems into that many contiguous runs. The searches of a
     run share one lockstep over the cells of both strategies (two in
     adaptive mode, where the strategies differ in parameter count), and
-    give each cell the same result as a search of its own.
+    give each cell the same result as a search of its own. ``diff`` is the
+    difference of the values as they print, to their 15 decimals.
     """
     if cfg.grid is None:
         raise ConfigError("sweep-diff requires a grid specification")
@@ -449,7 +449,8 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
     ]
     (found,) = _search(cfg, problems, (SWEEP_SHOTS,))
     return [
-        SweepRow(e0, e1, b.best_value, m.best_value, b.best_value - m.best_value)
+        SweepRow(e0, e1, b.best_value, m.best_value,
+                 round(_sig15(b.best_value) - _sig15(m.best_value), 15))
         for (e0, e1), (b, _), (m, _) in zip(cells, found[::2], found[1::2])
     ]
 

@@ -39,6 +39,19 @@ class OptimizerConfig:
     max_starts: int = 64
     extra_starts: tuple = ()
 
+    def __post_init__(self):
+        # A spread never falls below 0, so no start meets a value_tol of 0 or
+        # less; every search starts from (0, ...), (1/2, ...) and (1, ...);
+        # numpy seeds no generator from a negative seed.
+        for name, ok, limit in (
+            ("value_tol", 0.0 < self.value_tol < math.inf, "positive and finite"),
+            ("max_evals", self.max_evals >= 1, ">= 1"),
+            ("max_starts", self.max_starts >= 3, ">= 3"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {limit}, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class OptResult:

@@ -48,20 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    ETA_MAX,
-    ChannelFamily,
-    ChannelSpec,
-    _entries_batch,
-    _eta_terms,
-    output_entries,
-)
+from .channels import ChannelFamily, ChannelSpec, _check_eta, _entries, _eta_terms, output_entries
 from .helstrom import Povm, PovmCase, _build_povm, _shot_batch, success_and_traces
 
 __all__ = [
     "BAYES_SHOT_CAP",
     "GLOBAL_SHOT_CAP",
     "InputSchedule",
+    "SHOT_CAP",
     "ScheduleError",
     "StrategyEval",
     "StrategyKind",
@@ -114,25 +108,21 @@ class InputSchedule:
     mode: ScheduleMode
     levels: tuple
 
+    def __post_init__(self):
+        if not self.levels:
+            raise ScheduleError("schedule needs at least one shot")
+        flat = self.mode is ScheduleMode.FLAT
+        _checked_rows(self.levels if flat else [r for level in self.levels for r in level])
+
     @classmethod
     def flat(cls, r_values) -> "InputSchedule":
-        vals = tuple(float(r) for r in r_values)
-        if not vals:
-            raise ScheduleError("schedule needs at least one shot")
-        for r in vals:
-            _check_r(r)
-        return cls(ScheduleMode.FLAT, vals)
+        return cls(ScheduleMode.FLAT, tuple(float(r) for r in r_values))
 
     @classmethod
     def adaptive(cls, levels) -> "InputSchedule":
         lv = tuple(tuple(float(r) for r in level) for level in levels)
-        if not lv:
-            raise ScheduleError("schedule needs at least one shot")
-        if len(lv[0]) != 1:
+        if lv and len(lv[0]) != 1:
             raise ScheduleError("adaptive level 0 must hold exactly one value")
-        for level in lv:
-            for r in level:
-                _check_r(r)
         return cls(ScheduleMode.ADAPTIVE, lv)
 
     @property
@@ -140,9 +130,14 @@ class InputSchedule:
         return len(self.levels)
 
 
-def _check_r(r: float):
-    if not 0.0 <= r <= 1.0:
-        raise ScheduleError(f"r must be in [0, 1], got {r}")
+def _checked_rows(r_rows) -> np.ndarray:
+    """``r_rows`` as a float array, or a :class:`ScheduleError` unless every r
+    lies in [0, 1]."""
+    r_rows = np.asarray(r_rows, dtype=float)
+    ok = (r_rows >= 0.0) & (r_rows <= 1.0)
+    if not ok.all():
+        raise ScheduleError(f"r must be in [0, 1], got {r_rows[~ok][0]}")
+    return r_rows
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,8 @@ def level_widths(kind, mode, shots: int) -> list:
     return [2**k if kind is StrategyKind.BAYESIAN else min(2**k, 2) for k in range(shots)]
 
 
-_SHOT_CAP = {
+# The most shots each strategy takes, read at call time.
+SHOT_CAP = {
     StrategyKind.GLOBAL: GLOBAL_SHOT_CAP,
     StrategyKind.BAYESIAN: BAYES_SHOT_CAP,
     StrategyKind.MARKOVIAN: float("inf"),
@@ -182,17 +178,19 @@ _SHOT_CAP = {
 
 
 def _check_shots(kind: StrategyKind, shots: int):
-    if shots > _SHOT_CAP[kind]:
-        raise ValueError(f"{kind.value} strategy capped at {_SHOT_CAP[kind]} shots, got {shots}")
+    if shots > SHOT_CAP[kind]:
+        raise ValueError(f"{kind.value} strategy capped at {SHOT_CAP[kind]} shots, got {shots}")
+
+
+def _check_family(eta0: ChannelSpec, eta1: ChannelSpec):
+    if eta0.family is not eta1.family:
+        raise ValueError(f"channel families differ: {eta0.family.value} vs {eta1.family.value}")
 
 
 def _check(kind: StrategyKind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule):
     """Reject channels of two families, a schedule laid out for another
     strategy, or more shots than the cap of ``kind``."""
-    if eta0.family is not eta1.family:
-        raise ValueError(
-            f"channel families differ: {eta0.family.value} vs {eta1.family.value}"
-        )
+    _check_family(eta0, eta1)
     if sched.mode is not ScheduleMode.FLAT:
         want = level_widths(kind, sched.mode, sched.shots)
         got = [len(level) for level in sched.levels]
@@ -231,7 +229,7 @@ def _global_products(family, terms, r_rows):
     channel, row), and ``r_rows`` the schedules, (row, shot). Returns the
     products stacked (channel, row, 2**n, 2**n).
     """
-    rho00, rho11, x = _entries_batch(family, terms[..., None], r_rows)
+    rho00, rho11, x = _entries(family, terms[..., None], r_rows, np.sqrt)
     mats = np.empty(rho00.shape + (2, 2))
     mats[..., 0, 0] = rho00
     mats[..., 1, 1] = rho11
@@ -401,13 +399,6 @@ def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
     return [slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist())]
 
 
-def _checked_rows(r_rows) -> np.ndarray:
-    r_rows = np.asarray(r_rows, dtype=float)
-    if not ((r_rows >= 0.0) & (r_rows <= 1.0)).all():
-        raise ScheduleError("r must be in [0, 1]")
-    return r_rows
-
-
 def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
     """Success probabilities of many problems' schedules, as one function.
 
@@ -443,16 +434,14 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
             f"expected {len(kinds)} eta pairs, got {eta0.shape} and {eta1.shape}"
         )
     eta = np.array((eta0, eta1))
-    hi = ETA_MAX[family]
-    if not ((eta >= 0.0) & (eta <= hi)).all():
-        raise ValueError(f"eta out of range [0, {hi:.6g}] for {family.value}")
+    _check_eta(family, eta)
     layouts = [_level_columns(k, mode, d) for k in set(kinds)]
     if any(lay != layouts[0] for lay in layouts):
         raise ScheduleError(f"bayesian and markovian schedules of {d} values differ in layout")
     levels = layouts[0] if layouts else [slice(0, 1)]  # no problem: no row to walk
     for kind in set(kinds):
         _check_shots(kind, len(levels))
-    terms = np.array(_eta_terms(family, eta))  # (term, channel, problem)
+    terms = np.array(_eta_terms(family, eta, np))  # (term, channel, problem)
     if StrategyKind.GLOBAL in kinds:
         if set(kinds) != {StrategyKind.GLOBAL}:
             raise ScheduleError("global problems share no walk with the other strategies")
@@ -480,7 +469,8 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
         markov_rows = np.count_nonzero(mrow)
         # Arrays are (channel, node or column, row), rows last for long numpy
         # loops; a node per outcome history, or per last outcome.
-        rho00, rho11, x = _entries_batch(family, terms.take(problem, axis=2)[:, :, None], r_rows.T)
+        terms_rows = terms.take(problem, axis=2)[:, :, None]
+        rho00, rho11, x = _entries(family, terms_rows, r_rows.T, np.sqrt)
         z = 0.5 * (rho00 - rho11)
         w = np.ones((2, 1, 1))
         for cols in levels[:-1]:

@@ -14,9 +14,9 @@ from oracles import (
     kraus_operators,
     pure_state,
 )
-from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
+from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, _entries, output_entries
 from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
-from qcdisc.strategies import InputSchedule, global_value
+from qcdisc.strategies import InputSchedule, ScheduleError, global_value, values_objective
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -50,6 +50,24 @@ def test_eta_range_validation():
     with pytest.raises(ValueError):
         ChannelSpec(ChannelFamily.AMPLITUDE_DAMPING, math.pi / 2 + 0.01)
     ChannelSpec(ChannelFamily.AMPLITUDE_DAMPING, 1.2)  # valid: above 1, below pi/2
+
+
+def test_range_checks_name_the_bad_value():
+    # One eta check serves a spec and the batched objective, one r check a
+    # schedule and the objective's rows.
+    with pytest.raises(ValueError, match="eta=1.01 out of range"):
+        ChannelSpec(ChannelFamily.BIT_FLIP, 1.01)
+    with pytest.raises(ValueError, match="eta=nan out of range"):
+        ChannelSpec(ChannelFamily.BIT_FLIP, math.nan)
+    with pytest.raises(ValueError, match="eta=-0.5 out of range"):
+        values_objective(["markovian"] * 2, "bit-flip", [0.7, 0.6], [0.3, -0.5], 1)
+    with pytest.raises(ScheduleError, match="got 1.5"):
+        InputSchedule.flat([0.5, 1.5])
+    with pytest.raises(ScheduleError, match="got -0.25"):
+        InputSchedule.adaptive([(0.5,), (0.2, -0.25)])
+    f = values_objective(["markovian"], "bit-flip", [0.7], [0.3], 2)
+    with pytest.raises(ScheduleError, match="got nan"):
+        f(np.array([0]), np.array([[0.5, math.nan]]))
 
 
 def test_depolarizing_full_noise(rng):
@@ -132,6 +150,19 @@ def test_output_entries_matches_matrix_path(rng):
         assert abs(a - ref[0, 0].real) < 1e-14
         assert abs(b - ref[1, 1].real) < 1e-14
         assert abs(c - ref[0, 1]) < 1e-14
+
+
+def test_output_entries_equal_the_array_body_bit_for_bit(rng):
+    # output_entries and the batched evaluators share one body; given a
+    # spec's eta factors, floats and arrays give the same bits.
+    r = np.concatenate(([0.0, 1.0, 5e-322, 1.0 - 2.0**-53], rng.random(60)))
+    for family in FAMILIES:
+        etas = [0.0, ETA_MAX[family], *rng.uniform(0.0, ETA_MAX[family], 6)]
+        specs = [ChannelSpec(family, float(eta)) for eta in etas]
+        terms = np.array([spec._terms for spec in specs]).T[:, :, None]  # (term, spec, 1)
+        batch = np.stack(_entries(family, terms, r, np.sqrt), axis=-1)  # (spec, r, entry)
+        scalar = np.array([[output_entries(spec, float(x)) for x in r] for spec in specs])
+        assert batch.tobytes() == scalar.tobytes()
 
 
 def real_equivalent(family, r, phi):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -15,7 +16,14 @@ import qcdisc.experiments as experiments
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec
 from qcdisc.cli import main
 from qcdisc.optimizer import OptimizerConfig, maximize_batch
-from qcdisc.strategies import InputSchedule, level_widths, strategy_value, values_objective
+from qcdisc.strategies import (
+    SHOT_CAP,
+    InputSchedule,
+    StrategyKind,
+    level_widths,
+    strategy_value,
+    values_objective,
+)
 from qcdisc.experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
@@ -88,6 +96,15 @@ def test_rejects_bad_settings():
         make_config("bit-flip", points=[(0.5, 0.1)], max_evals=0)
 
 
+def test_grid_past_the_eta_range_exits_2():
+    # The grid holds the same range as the channels; one just past it used to
+    # pass here and end the run with a ValueError traceback.
+    for family in ("bit-flip", "amplitude-damping"):
+        with pytest.raises(ConfigError):
+            make_config(family, grid=(0.0, 1.0000000000005, 3))
+        make_config(family, grid=(0.0, 1.0, 3))
+
+
 def test_damping_etas_are_fractions_of_quarter_turn():
     cfg = make_config("amplitude-damping", points=[(0.75, 0.4)])
     assert cfg.points_entered == ((0.75, 0.4),)
@@ -126,7 +143,7 @@ def test_curve_bit_flip_one_shot_closed_form():
 
 
 def test_curve_global_cap_skips_with_warning(monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "GLOBAL_SHOT_CAP", 2)
+    monkeypatch.setitem(SHOT_CAP, StrategyKind.GLOBAL, 2)
     cfg = small_curve_config(strategies=("global", "markovian"))
     rows = run_curve(cfg)
     assert sorted({(r.strategy, r.n) for r in rows}) == [
@@ -149,6 +166,31 @@ def test_curve_adaptive_fallback_to_flat_warns(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "bayesian inputs tied per shot for n=2" in err
     assert "n=1" not in err
+
+
+def test_curve_bayesian_cap_skips_with_warning(monkeypatch, capsys, tmp_path):
+    # Each strategy stops at its own cap; the rows below it are written.
+    monkeypatch.setitem(SHOT_CAP, StrategyKind.BAYESIAN, 2)
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--family", "depolarizing", "--eta0", "0.75", "--eta1", "0.4",
+            "--n-max", "3", "--strategies", "bayesian,markovian", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out) as fh:
+        rows = [(rec["strategy"], rec["n"]) for rec in read_records_csv(fh)]
+    assert sorted(rows) == [("bayesian", 1), ("bayesian", 2),
+                            ("markovian", 1), ("markovian", 2), ("markovian", 3)]
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["warning: bayesian strategy skipped for n=3 (cap 2)"]
+
+
+def test_curve_adaptive_fallback_warns_once_per_strategy(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "ADAPTIVE_PARAM_CAP", 2)
+    cfg = make_config("bit-flip", points=[(0.75, 0.4), (0.95, 0.6)], n_max=2,
+                      strategies=("bayesian", "markovian"), input_mode="adaptive", max_starts=4)
+    run_curve(cfg)
+    err = capsys.readouterr().err
+    assert err.count("bayesian inputs tied per shot for n=2") == 1
+    assert err.count("markovian inputs tied per shot for n=2") == 1
 
 
 def test_curve_adaptive_fallback_prints_flat(monkeypatch, capsys):
@@ -234,6 +276,22 @@ def test_sweep_small_grid_damping():
         assert abs(row.diff - (row.p_bayes - row.p_markov)) <= 1e-15
 
 
+def test_sweep_diff_is_the_difference_of_the_printed_values():
+    # Depolarizing Bayesian and Markovian values are equal in exact
+    # arithmetic; where they print equal, diff prints 0, not a rounding
+    # residue such as -1.11e-16.
+    rows = run_sweep_diff(make_config("depolarizing", grid=(0.0, 1.0, 12)))
+    buf = io.StringIO()
+    write_records_csv(rows, SWEEP_FIELDS, {}, buf)
+    lines = [ln.split(",") for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
+    cells = [dict(zip(lines[0], ln)) for ln in lines[1:]]
+    assert len(cells) == 66
+    equal = [c for c in cells if c["p_bayes"] == c["p_markov"]]
+    assert equal and all(c["diff"] == "0" for c in equal)
+    for c in cells:
+        assert Decimal(c["diff"]) == Decimal(c["p_bayes"]) - Decimal(c["p_markov"])
+
+
 def test_sweep_nearly_identical_channels_no_difference():
     # Cells hugging the diagonal, away from the anti-diagonal band where
     # the two strategies genuinely part ways.
@@ -277,7 +335,8 @@ def test_sweep_rows_equal_per_strategy_searches(input_mode):
         specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
         pb = optimize_strategy("bayesian", *specs, 3, input_mode, opt_cfg)[0]
         pm = optimize_strategy("markovian", *specs, 3, input_mode, opt_cfg)[0]
-        assert (row.p_bayes, row.p_markov, row.diff) == (pb, pm, pb - pm)
+        diff = round(float(f"{pb:.15g}") - float(f"{pm:.15g}"), 15)  # as the values print
+        assert (row.p_bayes, row.p_markov, row.diff) == (pb, pm, diff)
 
 
 def test_one_search_over_both_kinds_equals_one_per_kind(rng):

@@ -82,6 +82,22 @@ def test_budget_exhaustion_sets_converged_false():
     assert not res.converged
 
 
+@pytest.mark.parametrize("setting,value", [
+    ("value_tol", 0.0),
+    ("value_tol", -1.0),
+    ("value_tol", math.inf),
+    ("value_tol", math.nan),
+    ("max_evals", 0),
+    ("max_starts", 2),
+    ("seed", -1),
+])
+def test_config_rejects_settings_no_search_can_run(setting, value):
+    # A tolerance no spread can meet would run every start to the cap; a
+    # search starts from three fixed points; numpy takes no negative seed.
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        OptimizerConfig(**{setting: value})
+
+
 def test_extra_starts_are_used():
     # A spike the lattice cannot see; the warm start lands on it.
     def f(x):
