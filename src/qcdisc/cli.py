@@ -107,24 +107,13 @@ def _load_file_config(path: str | None) -> dict:
     return data
 
 
-def _parse_grid(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        if len(text) != 3:
-            raise ConfigError(f"grid must be [min, max, steps], got {text!r}")
-        return tuple(text)
-    try:
-        lo, hi, steps = text.split(":")
-        return float(lo), float(hi), int(steps)
-    except (ValueError, AttributeError):
-        raise ConfigError(f"grid must look like MIN:MAX:STEPS, got {text!r}") from None
-
-
 def _config_from_args(args, needs_points: bool):
     file_cfg = _load_file_config(args.config)
-    # The settings given by flag or file: make_config's parameters but the
-    # other command's, plus the output's. make_config holds the defaults, so
-    # a null in the file is refused, not defaulted (a null out means stdout).
-    other = {"grid"} if needs_points else {"n_max", "points"}
+    # The settings given by flag or file: make_config's parameters but those
+    # the command's driver does not read, plus the output's. make_config
+    # parses and checks them and holds the defaults, so a null in the file is
+    # refused, not defaulted (a null out means stdout).
+    other = {"grid"} if needs_points else {"n_max", "points", "strategies"}
     params = inspect.signature(make_config).parameters
     keys = [key for key in params if key not in other] + ["out", "format"]
     unknown = sorted(set(file_cfg) - set(keys))
@@ -135,10 +124,6 @@ def _config_from_args(args, needs_points: bool):
     given.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     if given.get("family") is None:
         raise ConfigError("a channel family is required (--family or config file)")
-    strategies = given.get("strategies")
-    if isinstance(strategies, str):
-        given["strategies"] = tuple(s.strip() for s in strategies.split(",") if s.strip())
-
     if needs_points:
         eta0 = getattr(args, "eta0", None)
         eta1 = getattr(args, "eta1", None)
@@ -146,10 +131,6 @@ def _config_from_args(args, needs_points: bool):
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
             given["points"] = list(zip(eta0, eta1))
-    else:
-        if given.get("grid") is None:
-            raise ConfigError("sweep-diff requires --grid MIN:MAX:STEPS")
-        given["grid"] = _parse_grid(given["grid"])
 
     out = given.pop("out", None)
     fmt = given.pop("format", "csv")

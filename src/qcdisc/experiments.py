@@ -120,11 +120,6 @@ CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
-def _eta_scale(family: ChannelFamily) -> float:
-    """Entered-to-raw conversion; fractions of pi/2 for amplitude damping."""
-    return math.pi / 2 if family is ChannelFamily.AMPLITUDE_DAMPING else 1.0
-
-
 def _number(kind, value, name: str, low=None):
     """``kind(value)``, or a :class:`ConfigError` naming the setting; an
     integer setting takes no fraction, and none may lie below ``low``."""
@@ -155,21 +150,22 @@ def make_config(
 ) -> ExperimentConfig:
     """Validate user-facing values and build an :class:`ExperimentConfig`.
 
-    ``points`` and ``grid`` are in entered units (fractions of pi/2 for
-    amplitude damping, raw eta otherwise).
+    ``points`` and ``grid`` are in entered units: fractions of the family's
+    eta range, which is pi/2 for amplitude damping and 1 otherwise. ``grid``
+    may be ``"MIN:MAX:STEPS"`` and ``strategies`` ``"a,b"``, as on the
+    command line.
     """
     try:
         family = ChannelFamily(family)
     except ValueError:
         raise ConfigError(f"unknown family {family!r}") from None
-    scale = _eta_scale(family)
     hi = ETA_MAX[family]
 
     try:
         entered_points = tuple((float(a), float(b)) for a, b in (points or ()))
     except (TypeError, ValueError):
         raise ConfigError(f"points must be [eta0, eta1] pairs of numbers, got {points!r}") from None
-    raw_points = tuple((a * scale, b * scale) for a, b in entered_points)
+    raw_points = tuple((a * hi, b * hi) for a, b in entered_points)
     for (e0, e1), (raw0, raw1) in zip(entered_points, raw_points):
         if not (0.0 <= raw1 <= hi and 0.0 <= raw0 <= hi):
             raise ConfigError(
@@ -183,19 +179,23 @@ def make_config(
     raw_grid = entered_grid = None
     if grid is not None:
         try:
-            gmin, gmax, steps = grid
+            gmin, gmax, steps = grid.split(":") if isinstance(grid, str) else grid
         except (TypeError, ValueError):
-            raise ConfigError(f"grid must be [min, max, steps], got {grid!r}") from None
+            raise ConfigError(
+                f"grid must be MIN:MAX:STEPS or [min, max, steps], got {grid!r}"
+            ) from None
         gmin, gmax = _number(float, gmin, "grid min"), _number(float, gmax, "grid max")
         steps = _number(int, steps, "grid steps")
         if steps < 2:
             raise ConfigError(f"grid needs at least 2 steps, got {steps}")
-        if not (0.0 <= gmin * scale < gmax * scale <= hi):
+        if not (0.0 <= gmin * hi < gmax * hi <= hi):
             raise ConfigError(f"grid [{gmin:g}, {gmax:g}] invalid for {family.value}")
         entered_grid = (gmin, gmax, steps)
-        raw_grid = (gmin * scale, gmax * scale, steps)
+        raw_grid = (gmin * hi, gmax * hi, steps)
 
     n_max = _number(int, n_max, "n_max", 1)
+    if isinstance(strategies, str):
+        strategies = [s.strip() for s in strategies.split(",") if s.strip()]
     try:
         strategies = tuple(strategies)
     except TypeError:
@@ -371,10 +371,12 @@ def _search(cfg: ExperimentConfig, problems: list, counts) -> list[list]:
     :func:`_search_task` gives them for all ``problems``.
 
     ``jobs`` splits the problems into that many contiguous runs, one task
-    each; a row's wall time is that of the search its run shared. Warns
-    once if any search did not converge.
+    each, the earlier runs no longer than the later: a one-point curve at
+    ``jobs=2`` runs its first strategy alone. A row's wall time is that of
+    the search its run shared. Warns once if any search did not converge.
     """
-    bounds = np.linspace(0, len(problems), min(cfg.jobs, len(problems)) + 1).round().astype(int)
+    runs = max(1, min(cfg.jobs, len(problems)))
+    bounds = [len(problems) * w // runs for w in range(runs + 1)]
     payloads = [(cfg, problems[a:b], counts) for a, b in zip(bounds, bounds[1:])]
     parts = _map_tasks(_search_task, payloads, cfg.jobs)
     found = [[pair for part in parts for pair in part[c]] for c in range(len(counts))]
@@ -438,7 +440,7 @@ def run_sweep_diff(cfg: ExperimentConfig) -> list[SweepRow]:
     difference of the values as they print, to their 15 decimals.
     """
     if cfg.grid is None:
-        raise ConfigError("sweep-diff requires a grid specification")
+        raise ConfigError("sweep-diff requires a grid (--grid MIN:MAX:STEPS or the grid key)")
     gmin, gmax, steps = cfg.grid
     axis = np.linspace(gmin, gmax, steps)
     cells = [(float(e0), float(e1)) for e0 in axis for e1 in axis if e0 > e1]
@@ -614,9 +616,8 @@ def _suite_monte_carlo(seed: int) -> list[CheckResult]:
     checks = []
     sched = InputSchedule.flat([0.3, 0.7, 0.5])
     for family in ChannelFamily:
-        scale = _eta_scale(family)
-        spec0 = ChannelSpec(family, 0.75 * scale)
-        spec1 = ChannelSpec(family, 0.4 * scale)
+        spec0 = ChannelSpec(family, 0.75 * ETA_MAX[family])
+        spec1 = ChannelSpec(family, 0.4 * ETA_MAX[family])
         for kind in VALID_STRATEGIES:
             p = strategy_value(kind, spec0, spec1, sched)
             freq = simulate_protocol(kind, spec0, spec1, sched, trials, seed)

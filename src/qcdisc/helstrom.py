@@ -52,7 +52,6 @@ __all__ = [
     "WeightedPair",
     "brute_force_povm",
     "optimal_povm",
-    "outcome_probs",
     "povm_defect",
     "success_and_traces",
 ]
@@ -206,15 +205,6 @@ def optimal_povm(w: WeightedPair) -> HelstromResult:
         w.p0, _entries(np.asarray(w.rho0, dtype=complex)), _entries(np.asarray(w.rho1, dtype=complex))
     )
     return HelstromResult(_build_povm(case, n), p_succ, lam0, lam1)
-
-
-def outcome_probs(rho, m: Povm):
-    """(Tr(rho pi0), Tr(rho pi1)) as real numbers."""
-    rho = np.asarray(rho, dtype=complex)
-    return (
-        float(np.trace(rho @ m.pi0).real),
-        float(np.trace(rho @ m.pi1).real),
-    )
 
 
 def povm_defect(m: Povm) -> float:

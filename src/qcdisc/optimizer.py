@@ -118,13 +118,13 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     def g(live, x):
         return -np.asarray(objective(problem[live], x), dtype=float)
 
-    # Simplex of each start in rows; vertex 0 is the clamped start point,
-    # vertex i + 1 moves coordinate i by the step, inward at the upper bound.
-    first = _box(x0)
-    simplex = np.repeat(first[:, None, :], d + 1, axis=1)
+    # Simplex of each start in rows; vertex 0 is the start point, which
+    # _starts keeps in the box, vertex i + 1 moves coordinate i by the step,
+    # inward at the upper bound.
+    simplex = np.repeat(x0[:, None, :], d + 1, axis=1)
     for i in range(d):
-        up = first[:, i] + _INITIAL_STEP
-        simplex[:, i + 1, i] = np.where(up <= 1.0, up, first[:, i] - _INITIAL_STEP)
+        up = x0[:, i] + _INITIAL_STEP
+        simplex[:, i + 1, i] = np.where(up <= 1.0, up, x0[:, i] - _INITIAL_STEP)
     live = np.arange(rows)
     # One call per vertex rather than one for all keeps a call at one point
     # per start, as in the reflection step, and so the objective's working
@@ -217,14 +217,9 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     results = []
     for j in range(len(cfgs)):
         mine = np.flatnonzero(problem == j)
-        best_x = None
-        best_g = math.inf
-        for i in mine:
-            if out_g[i] < best_g:
-                best_x, best_g = out_x[i].copy(), float(out_g[i])
-        results.append(
-            OptResult(best_x, -best_g, int(out_evals[mine].sum()), bool(out_conv[mine].all()))
-        )
+        i = mine[np.argmin(out_g[mine])]  # the first of equal bests
+        results.append(OptResult(out_x[i].copy(), -float(out_g[i]), int(out_evals[mine].sum()),
+                                 bool(out_conv[mine].all())))
     return results
 
 

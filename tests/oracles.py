@@ -5,7 +5,8 @@
   hundred) and independent of the closed-form 2x2 kernel of
   :mod:`qcdisc.helstrom` that it checks. Matrices are square, eigenvectors
   come back as columns.
-* The weighted difference operator of the one-shot problem.
+* The weighted difference operator of the one-shot problem, and the
+  outcome probabilities of a measurement.
 * The channel families as Kraus maps on full density matrices, with the
   phased pure input sqrt(1-r)|0> + e^{-i phi} sqrt(r)|1>.
 """
@@ -159,6 +160,15 @@ def delta_op(w) -> np.ndarray:
     """The weighted difference p0*rho0 - (1-p0)*rho1 of a ``WeightedPair``."""
     return w.p0 * np.asarray(w.rho0, dtype=complex) - (1.0 - w.p0) * np.asarray(
         w.rho1, dtype=complex
+    )
+
+
+def outcome_probs(rho, m):
+    """(Tr(rho pi0), Tr(rho pi1)) of a ``Povm`` as real numbers."""
+    rho = np.asarray(rho, dtype=complex)
+    return (
+        float(np.trace(rho @ m.pi0).real),
+        float(np.trace(rho @ m.pi1).real),
     )
 
 

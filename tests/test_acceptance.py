@@ -12,8 +12,9 @@ import time
 
 import numpy as np
 
+from oracles import outcome_probs
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
-from qcdisc.helstrom import WeightedPair, brute_force_povm, optimal_povm, outcome_probs
+from qcdisc.helstrom import WeightedPair, brute_force_povm, optimal_povm
 from qcdisc.optimizer import OptimizerConfig, maximize
 from qcdisc.strategies import (
     InputSchedule,

@@ -12,10 +12,11 @@ from oracles import (
     check_density_matrix,
     kraus_completeness,
     kraus_operators,
+    outcome_probs,
     pure_state,
 )
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, _entries, output_entries
-from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
+from qcdisc.helstrom import WeightedPair, optimal_povm
 from qcdisc.strategies import InputSchedule, ScheduleError, global_value, values_objective
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)

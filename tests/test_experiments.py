@@ -105,6 +105,25 @@ def test_grid_past_the_eta_range_exits_2():
         make_config(family, grid=(0.0, 1.0, 3))
 
 
+def test_make_config_takes_the_text_forms_of_the_flags():
+    assert make_config("bit-flip", grid="0:1:8") == make_config("bit-flip", grid=(0.0, 1.0, 8))
+    assert make_config("bit-flip", grid=[0, 1, "8"]) == make_config("bit-flip", grid=(0, 1, 8))
+    text = make_config("bit-flip", points=[(0.75, 0.4)], strategies="bayesian, markovian,")
+    assert text == make_config("bit-flip", points=[(0.75, 0.4)],
+                               strategies=("bayesian", "markovian"))
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("0:1", "grid must be MIN:MAX:STEPS or [min, max, steps], got '0:1'"),
+    ("a:1:3", "grid min must be a number, got 'a'"),
+    ("0:1:3.5", "grid steps must be an integer, got '3.5'"),
+])
+def test_grid_text_errors_name_the_bad_part(grid, message):
+    with pytest.raises(ConfigError) as info:
+        make_config("bit-flip", grid=grid)
+    assert str(info.value) == message
+
+
 def test_damping_etas_are_fractions_of_quarter_turn():
     cfg = make_config("amplitude-damping", points=[(0.75, 0.4)])
     assert cfg.points_entered == ((0.75, 0.4),)
@@ -248,6 +267,21 @@ def test_workers_run_with_one_blas_thread(monkeypatch):
     assert [os.environ[var] for var in names] == ["4"] * len(names)
 
 
+def test_jobs_split_runs_a_one_point_curves_first_strategy_alone(monkeypatch):
+    # The global search of a one-point curve is the costliest; the other two
+    # share the second worker.
+    sizes = []
+
+    def serial(fn, payloads, jobs):
+        sizes.extend(len(problems) for _, problems, _ in payloads)
+        return [fn(payload) for payload in payloads]
+
+    monkeypatch.setattr(experiments, "_map_tasks", serial)
+    rows = run_curve(make_config("bit-flip", points=[(0.75, 0.4)], jobs=2))
+    assert sizes == [1, 2]
+    assert [row.strategy for row in rows] == ["global", "bayesian", "markovian"]
+
+
 def test_duplicate_strategies_exit_2(capsys):
     with pytest.raises(ConfigError, match="each strategy once"):
         make_config("bit-flip", points=[(0.75, 0.4)], strategies=("markovian", "bayesian", "markovian"))
@@ -305,6 +339,16 @@ def test_sweep_nearly_identical_channels_no_difference():
 def test_sweep_requires_grid():
     with pytest.raises(ConfigError):
         run_sweep_diff(make_config("bit-flip", points=[(0.5, 0.1)]))
+
+
+def test_cli_sweep_without_grid_exits_2_before_any_search(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(experiments, "_search", never)
+    assert main(["sweep-diff", "--family", "bit-flip"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid MIN:MAX:STEPS" in err and "grid key" in err
 
 
 def test_sweep_parallel_matches_serial():
@@ -667,6 +711,7 @@ def test_cli_config_null_settings_exit_2(tmp_path, capsys):
     ("curve", {"points": [[0.7, 0.3]], "n-max": 3}, "n-max"),
     ("curve", {"points": [[0.7, 0.3]], "fmt": "json"}, "fmt"),
     ("sweep-diff", {"grid": [0, 1, 3], "points": [[0.7, 0.3]]}, "points"),
+    ("sweep-diff", {"grid": [0, 1, 3], "strategies": "global"}, "strategies"),
 ])
 def test_cli_config_keys_the_command_does_not_read_exit_2(tmp_path, capsys, cmd, settings, key):
     cfg_file = tmp_path / "cfg.json"

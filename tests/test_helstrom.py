@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_density, random_spec_pair
-from oracles import delta_op
+from oracles import delta_op, outcome_probs
 from qcdisc.channels import ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import (
     TIE_TOL,
@@ -11,7 +11,6 @@ from qcdisc.helstrom import (
     _shot_batch,
     brute_force_povm,
     optimal_povm,
-    outcome_probs,
     povm_defect,
     success_and_traces,
 )

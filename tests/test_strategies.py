@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_spec_pair
-from oracles import InputState, apply, eigen_hermitian, pure_state
+from oracles import InputState, apply, eigen_hermitian, outcome_probs, pure_state
 import qcdisc.strategies as strategies
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
-from qcdisc.helstrom import WeightedPair, optimal_povm, outcome_probs
+from qcdisc.helstrom import WeightedPair, optimal_povm
 from qcdisc.strategies import (
     BAYES_SHOT_CAP,
     GLOBAL_SHOT_CAP,
