@@ -24,6 +24,7 @@ from .experiments import (
     SWEEP_FIELDS,
     VALID_STRATEGIES,
     VALID_SUITES,
+    _FEEDFORWARD,
     ConfigError,
     make_config,
     run_curve,
@@ -131,6 +132,8 @@ def _config_from_args(args, needs_points: bool):
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
             given["points"] = list(zip(eta0, eta1))
+    else:  # echo the strategies a sweep runs
+        given["strategies"] = [kind.value for kind in _FEEDFORWARD]
 
     out = given.pop("out", None)
     fmt = given.pop("format", "csv")

@@ -1,39 +1,35 @@
 """Minimum-error binary discrimination of two weighted qubit states.
 
-Given states rho0, rho1 with prior weights p0 and 1-p0, the optimal
-measurement is built from the eigensystem of ``p0*rho0 - (1-p0)*rho1``.
-Depending on the sign of its top eigenvalue lam0 the best POVM is either
-projective or one of the trivial pairs {I, 0} / {0, I}:
+Given states rho0, rho1 with weights w0, w1 >= 0 (a posterior p0 weighs
+(p0, 1 - p0)), the optimal measurement is built from the eigensystem of
+``w0*rho0 - w1*rho1``, whose eigenvalues lam0 >= lam1 sum to w0 - w1. The
+best POVM is either projective or one of the trivial pairs {I, 0} / {0, I}:
 
-* lam0 > 0 and 2*p0 <= 1 + lam0:  project onto the top eigenvector,
-  success lam0 + 1 - p0;
-* lam0 > 0 and 2*p0 > 1 + lam0:   always guess 0, success p0;
-* lam0 <= 0 and p0 <= 1/2:        always guess 1, success 1 - p0;
-* lam0 <= 0 and p0 > 1/2:         always guess 0, success p0.
+* lam0 > 0 and lam1 <= 0:  project onto the top eigenvector, success
+  w1 + lam0;
+* otherwise:               guess 0 where w0 > w1, else 1, success
+  max(w0, w1).
 
-The projector ties with a trivial POVM on two boundaries: at lam0 = 0 with
-"always guess 1" (both succeed with 1 - p0), and at lam1 = 0, that is
-2*p0 = 1 + lam0, with "always guess 0" (both succeed with p0). On either,
-the sign of a rounding residue would pick the measurement. The projector
-is kept on both ties (lam0, or 2*p0 - 1 - lam0, within :data:`TIE_TOL` of
-zero) unless the difference operator itself vanishes: it is the limit of
-the optimal measurement for inputs that move off the tie, and unlike a
-trivial POVM it leaves information for later shots.
+The projector ties with a trivial POVM at lam0 = 0 ("always guess 1") and
+at lam1 = 0 ("always guess 0"). On either, the sign of a rounding residue
+would pick the measurement. The projector is kept on both ties (lam0 or
+lam1 within tol = (w0 + w1)*TIE_TOL of zero) unless the difference operator
+itself is within tol of zero: it is the limit of the optimal measurement
+for inputs that move off the tie, and unlike a trivial POVM it leaves
+information for later shots.
 
 Both kernels, the scalar :func:`success_and_traces` and the batched
-:func:`_shot_batch`, work in the Bloch picture. With hd = (da - db)/2 and dc
-from the entries of the difference operator and h = hypot(hd, |dc|), its
-eigenvalues are lam0, lam1 = (da + db)/2 +- h, and its top eigenvector has
-the unit Bloch vector (nz, nx) = (hd, dc)/h, the projector
-pi0 = 1/2 [[1 + nz, nx], [conj(nx), 1 - nz]]; where h = 0 both take e0,
-(nz, nx) = (1, 0). A state rho_c then has t_c = Tr(rho_c pi0) =
-(rho00 + rho11 + nz*(rho00 - rho11))/2 + Re(rho01*conj(nx)). The scalar
-kernel takes the weights (p0, 1 - p0) and a float or complex off-diagonal.
-The batched one takes real states as z_c = (rho00 - rho11)/2 and
-x_c = rho01, unnormalized weights (l0, l1), so (da + db)/2 = (l0 - l1)/2
-and t_c = 1/2 + (z_c*hd + x_c*dc)/h; a last shot yields only its success,
-l1 + lam0 on the projector and max(l0, l1) otherwise. Both kernels clamp
-traces into [0, 1], so 1 - t never leaves a negative weight after rounding.
+:func:`_shot_batch`, write this rule in one arithmetic, the Bloch picture.
+State c enters as z_c = (rho00 - rho11)/2 and x_c = rho01. The difference
+operator has g = (w0 - w1)/2 times the identity plus the Bloch part
+hd = w0*z0 - w1*z1, dc = w0*x0 - w1*x1; with h = hypot(hd, |dc|), lam0,
+lam1 = g +- h, and the top eigenvector has the unit Bloch vector
+(nz, nx) = (hd, dc)/h, the projector pi0 = 1/2 [[1 + nz, nx],
+[conj(nx), 1 - nz]]; where h = 0 both take e0, (nz, nx) = (1, 0). Then
+t_c = Tr(rho_c pi0) = 1/2 + z_c*nz + Re(x_c*conj(nx)). The scalar kernel
+takes a float or complex off-diagonal, the batched one real states at many
+nodes, and for a last shot yields only its success. Both clamp traces into
+[0, 1], so 1 - t never leaves a negative weight after rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ __all__ = [
 ]
 
 # Tolerance of the one-shot tie rule: |lam0|, |lam1| and the size of the
-# difference operator below it count as zero.
+# difference operator below it, times the total weight, count as zero.
 TIE_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
@@ -104,55 +100,54 @@ def _entries(rho: np.ndarray):
     return rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1])
 
 
-def eig2_entries(app: float, aqq: float, apq):
-    """Closed-form eigensystem of ``[[app, apq], [conj(apq), aqq]]``.
+def eig2_entries(g: float, hd: float, dc):
+    """Closed-form eigensystem of ``[[g + hd, dc], [conj(dc), g - hd]]``.
 
     Returns ``(lam0, lam1, nz, nx)`` with lam0 >= lam1 and ``(nz, nx)`` the
     unit Bloch vector of the top eigenvector, whose projector is
     ``1/2 [[1 + nz, nx], [conj(nx), 1 - nz]]``; e0, ``(1.0, 0.0)``, where the
     eigenvalues coincide. One kernel serves both kinds of off-diagonal:
-    ``apq`` is a float for every channel output and may be complex for a
+    ``dc`` is a float for every channel output and may be complex for a
     general state passed to :func:`optimal_povm`.
     """
-    half_tr = 0.5 * (app + aqq)
-    half_diff = 0.5 * (app - aqq)
-    radius = math.hypot(half_diff, abs(apq))
-    lam0 = half_tr + radius
-    lam1 = half_tr - radius
-    if radius == 0.0:
-        return lam0, lam1, 1.0, 0.0
-    return lam0, lam1, half_diff / radius, apq / radius
+    h = math.hypot(hd, abs(dc))
+    if h == 0.0:
+        return g, g, 1.0, 0.0
+    return g + h, g - h, hd / h, dc / h
 
 
-def success_and_traces(p0: float, s0, s1):
-    """Scalar core of the optimal measurement.
+def success_and_traces(w0: float, w1: float, s0, s1):
+    """Scalar core of the optimal measurement at the weights ``(w0, w1)``.
 
     ``s0``/``s1`` are states in entry form ``(rho00, rho11, rho01)``.
-    Returns ``(case, p_succ, t0, t1, lam0, lam1, n)`` where
-    ``t_c = Tr(rho_c pi0)`` and ``n = (nz, nx)`` is the Bloch vector of the
+    Returns ``(case, p_succ, t0, t1, lam0, lam1, n)``, with the success
+    ``p_succ`` and lam0, lam1 at the scale of the weights,
+    ``t_c = Tr(rho_c pi0)`` and ``n = (nz, nx)`` the Bloch vector of the
     projector (``None`` for the trivial POVMs). Allocation free, shared by
     :func:`optimal_povm` and the multi-shot evaluators.
     """
-    p1 = 1.0 - p0
-    da = p0 * s0[0] - p1 * s1[0]
-    db = p0 * s0[1] - p1 * s1[1]
-    dc = p0 * s0[2] - p1 * s1[2]
-    lam0, lam1, nz, nx = eig2_entries(da, db, dc)
-    informative = lam0 > 0.0 or (
-        lam0 > -TIE_TOL and abs(da) + abs(db) + abs(dc) > TIE_TOL
-    )
-    if informative and 2.0 * p0 <= 1.0 + lam0 + TIE_TOL:
+    z0 = 0.5 * (s0[0] - s0[1])
+    z1 = 0.5 * (s1[0] - s1[1])
+    hd = w0 * z0 - w1 * z1
+    dc = w0 * s0[2] - w1 * s1[2]
+    lam0, lam1, nz, nx = eig2_entries(0.5 * (w0 - w1), hd, dc)
+    tol = (w0 + w1) * TIE_TOL  # TIE_TOL at the scale of the weights
+    # On a tie, the projector unless the operator's size, |da| + |db| + |dc|
+    # as in _shot_batch, is within tol of zero.
+    if lam0 > -tol and lam1 <= tol and (
+        lam0 > 0.0 or max(abs(w0 - w1), 2.0 * abs(hd)) + abs(dc) > tol
+    ):
         nxc = nx.conjugate()
-        t0 = 0.5 * (s0[0] + s0[1] + nz * (s0[0] - s0[1])) + (s0[2] * nxc).real
-        t1 = 0.5 * (s1[0] + s1[1] + nz * (s1[0] - s1[1])) + (s1[2] * nxc).real
+        t0 = 0.5 + z0 * nz + (s0[2] * nxc).real
+        t1 = 0.5 + z1 * nz + (s1[2] * nxc).real
         if not 0.0 <= t0 <= 1.0:
             t0 = 0.0 if t0 < 0.0 else 1.0
         if not 0.0 <= t1 <= 1.0:
             t1 = 0.0 if t1 < 0.0 else 1.0
-        return PovmCase.PROJECTIVE, lam0 + 1.0 - p0, t0, t1, lam0, lam1, (nz, nx)
-    if lam0 > 0.0 or p0 > 0.5:
-        return PovmCase.ALWAYS_GUESS_0, p0, 1.0, 1.0, lam0, lam1, None
-    return PovmCase.ALWAYS_GUESS_1, 1.0 - p0, 0.0, 0.0, lam0, lam1, None
+        return PovmCase.PROJECTIVE, w1 + lam0, t0, t1, lam0, lam1, (nz, nx)
+    if w0 > w1:
+        return PovmCase.ALWAYS_GUESS_0, w0, 1.0, 1.0, lam0, lam1, None
+    return PovmCase.ALWAYS_GUESS_1, w1, 0.0, 0.0, lam0, lam1, None
 
 
 def _shot_batch(w, z, x, last):
@@ -179,14 +174,13 @@ def _shot_batch(w, z, x, last):
         size = np.maximum(np.abs(w0 - w1), 2.0 * np.abs(hd)) + np.abs(dc)
         projective[edge] = (size > -ntol)[edge]
     if last:
-        # Off the projector lam0 > 0 exactly where w0 > w1.
         return np.where(projective, w1 + lam0, np.maximum(w0, w1))
     flat = h == 0.0
     if np.count_nonzero(flat):
         hd[flat] = 1.0  # e0, so t = 1/2 + z = rho00
         h[flat] = 1.0
     t = np.minimum(np.maximum(0.5 + (z * hd + x * dc) / h, 0.0), 1.0)
-    return np.where(projective, t, lam0 > 0.0)
+    return np.where(projective, t, w0 > w1)
 
 
 def _build_povm(case: PovmCase, n) -> Povm:
@@ -201,9 +195,8 @@ def _build_povm(case: PovmCase, n) -> Povm:
 
 def optimal_povm(w: WeightedPair) -> HelstromResult:
     """Optimal binary POVM and its success probability."""
-    case, p_succ, _, _, lam0, lam1, n = success_and_traces(
-        w.p0, _entries(np.asarray(w.rho0, dtype=complex)), _entries(np.asarray(w.rho1, dtype=complex))
-    )
+    s0, s1 = (_entries(np.asarray(rho, dtype=complex)) for rho in (w.rho0, w.rho1))
+    case, p_succ, _, _, lam0, lam1, n = success_and_traces(w.p0, 1.0 - w.p0, s0, s1)
     return HelstromResult(_build_povm(case, n), p_succ, lam0, lam1)
 
 

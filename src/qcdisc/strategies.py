@@ -14,7 +14,7 @@ hypotheses) and guess which channel it was from the measurement record.
 
 One scalar walk over one schedule serves both feedforward strategies. It
 goes level by level over the outcome tree and returns the success
-probability and the nodes it reaches, each with its posterior, measurement
+probability and the nodes it reaches, each with its weights, measurement
 and traces ``Tr(rho_c pi0)``. The two strategies differ only in what the
 feedforward remembers: the Markovian walk merges each level's children by
 last outcome, the Bayesian walk keeps every history. ``*_value`` return the
@@ -52,8 +52,6 @@ from .channels import ChannelFamily, ChannelSpec, _check_eta, _entries, _eta_ter
 from .helstrom import Povm, PovmCase, _build_povm, _shot_batch, success_and_traces
 
 __all__ = [
-    "BAYES_SHOT_CAP",
-    "GLOBAL_SHOT_CAP",
     "InputSchedule",
     "SHOT_CAP",
     "ScheduleError",
@@ -72,8 +70,6 @@ __all__ = [
     "values_objective",
 ]
 
-GLOBAL_SHOT_CAP = 10
-BAYES_SHOT_CAP = 14
 # Bytes of output products that one stacked global eigensolve takes at most;
 # a single row of 10 shots (2 x 8 MiB) exceeds it and runs alone.
 _GLOBAL_CHUNK_BYTES = 1 << 24
@@ -171,8 +167,8 @@ def level_widths(kind, mode, shots: int) -> list:
 
 # The most shots each strategy takes, read at call time.
 SHOT_CAP = {
-    StrategyKind.GLOBAL: GLOBAL_SHOT_CAP,
-    StrategyKind.BAYESIAN: BAYES_SHOT_CAP,
+    StrategyKind.GLOBAL: 10,
+    StrategyKind.BAYESIAN: 14,
     StrategyKind.MARKOVIAN: float("inf"),
 }
 
@@ -293,19 +289,22 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
 
     Goes over the outcome tree level by level. Node ``i`` of level ``k``
     measures shot k+1; it keeps its weights under channels 0 and 1, takes
-    the optimal one-shot measurement at their posterior, and passes them,
+    the optimal one-shot measurement at those weights, and passes them,
     times the traces of each outcome, to its children 2i (outcome 0) and
     2i + 1 (outcome 1). Bayesian node ``(k, i)`` is the history of k
     outcomes that spells i in binary, first outcome highest. The Markovian
     strategy merges each level's children by outcome into two nodes, so
     that its node ``(k, i)`` follows last outcome i (the first shot's is
-    0). A node neither channel can reach is skipped, and its children get
-    zero weight. The final outcome is the guess: a node of the last level
-    has no children, and adds its success times its total weight.
+    0). By convention a node of weight exactly (0, 0), which neither
+    channel can reach, is skipped, and its children get zero weight; the
+    weights are never negative, as the traces are clamped into [0, 1]. The
+    final outcome is the guess: a node of the last level has no children,
+    and adds its success weight.
 
-    Returns ``(p_succ, nodes)``, where ``nodes`` lists ``(k, i, p0, case,
-    n, t0, t1)`` for each node reached, level by level, with ``n`` the
-    Bloch vector of its projector as :func:`success_and_traces` returns it.
+    Returns ``(p_succ, nodes)``, where ``nodes`` lists ``(k, i, l0, l1,
+    case, n, t0, t1)`` for each node reached, level by level, with
+    ``(l0, l1)`` its weights and ``n`` the Bloch vector of its projector as
+    :func:`success_and_traces` returns it.
     """
     _check(kind, eta0, eta1, sched)
     merge = kind is StrategyKind.MARKOVIAN
@@ -319,17 +318,15 @@ def _walk(kind: StrategyKind, eta0, eta1, sched):
             s0, s1 = output_entries(eta0, level), output_entries(eta1, level)
         nxt = []
         for i, (l0, l1) in enumerate(w):
-            tot = l0 + l1
-            if tot <= 0.0:  # a node neither channel can reach
+            if l0 == l1 == 0.0:  # a node neither channel can reach
                 nxt += ((0.0, 0.0), (0.0, 0.0))
                 continue
             if not flat:
                 s0, s1 = output_entries(eta0, level[i]), output_entries(eta1, level[i])
-            p0 = l0 / tot
-            case, p, t0, t1, _, _, n = success_and_traces(p0, s0, s1)
-            nodes.append((k, i, p0, case, n, t0, t1))
+            case, p, t0, t1, _, _, n = success_and_traces(l0, l1, s0, s1)
+            nodes.append((k, i, l0, l1, case, n, t0, t1))
             if k == last:
-                total += tot * p
+                total += p
                 continue
             nxt.append((l0 * t0, l1 * t1))
             nxt.append((l0 * (1.0 - t0), l1 * (1.0 - t1)))
@@ -344,10 +341,10 @@ def _strategy_eval(p_succ: float, nodes: list, key) -> StrategyEval:
     """The measurement tree of a walk's nodes, keyed by ``key(k, i)``."""
     tree: dict = {}
     posts: dict = {}
-    for k, i, p0, case, n, _, _ in nodes:
+    for k, i, l0, l1, case, n, _, _ in nodes:
         label = key(k, i)
         tree[label] = _build_povm(case, n)
-        posts[label] = p0
+        posts[label] = l0 / (l0 + l1)
     return StrategyEval(p_succ, tree, posts)
 
 
@@ -561,7 +558,7 @@ def simulate_protocol(
     bayes = kind is StrategyKind.BAYESIAN
     _, nodes = _walk(kind, eta0, eta1, sched)
     prob0 = [np.full((2, w), 0.5) for w in level_widths(kind, ScheduleMode.ADAPTIVE, sched.shots)]
-    for k, i, _, _, _, t0, t1 in nodes:
+    for k, i, *_, t0, t1 in nodes:
         prob0[k][:, i] = t0, t1
     for p0out in prob0:
         zero = rng.binomial(count, p0out)

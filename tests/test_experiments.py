@@ -351,6 +351,13 @@ def test_cli_sweep_without_grid_exits_2_before_any_search(monkeypatch, capsys):
     assert "--grid MIN:MAX:STEPS" in err and "grid key" in err
 
 
+def test_cli_sweep_header_echoes_the_strategies_it_runs(capsys):
+    assert main(["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--jobs", "1"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    assert header.startswith("# config: ")
+    assert json.loads(header[len("# config: "):])["strategies"] == ["bayesian", "markovian"]
+
+
 def test_sweep_parallel_matches_serial():
     cfg1 = make_config("bit-flip", grid=(0.1, 0.9, 4), seed=2, jobs=1)
     cfg2 = make_config("bit-flip", grid=(0.1, 0.9, 4), seed=2, jobs=2)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import FAMILIES, random_density, random_spec_pair
 from oracles import delta_op, outcome_probs
+import qcdisc.helstrom as helstrom
 from qcdisc.channels import ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import (
     TIE_TOL,
@@ -70,37 +73,44 @@ def test_exact_tie_keeps_the_projector():
     # always guessing 1 tie at 0.6; only the measurement informs later shots.
     s0 = (0.6, 0.4, 0.0j)
     s1 = (0.4, 0.6, 0.0j)
-    case, p_succ, t0, t1, lam0, _, _ = success_and_traces(0.4, s0, s1)
+    case, p_succ, t0, t1, lam0, _, _ = success_and_traces(0.4, 0.6, s0, s1)
     assert lam0 == 0.0
     assert case is PovmCase.PROJECTIVE
     assert abs(p_succ - 0.6) < 1e-15
     assert (t0, t1) == (0.6, 0.4)
     # a rounding residue below zero is a tie too
-    case, *_ = success_and_traces(0.4, (0.6, 0.4 + 1e-17, 0.0j), s1)
+    case, *_ = success_and_traces(0.4, 0.6, (0.6, 0.4 + 1e-17, 0.0j), s1)
     assert case is PovmCase.PROJECTIVE
 
 
 def test_mirror_tie_keeps_the_projector():
     # Bit-flip outputs of r = 0.9 at eta 6/7 and 1/7, weighted 6/7 : 1/7.
-    # lam1 = 2 p0 - 1 - lam0 is exactly 0 and rounds to +1.1e-16: measuring
-    # and always guessing 0 tie at p0, and only the measurement informs
-    # later shots.
+    # lam1 = g - h is exactly 0 and rounds to +5.6e-17, strictly inside the
+    # tie band: measuring and always guessing 0 tie at w0, and only the
+    # measurement informs later shots.
     s0 = output_entries(ChannelSpec(ChannelFamily.BIT_FLIP, 6 / 7), 0.9)
     s1 = output_entries(ChannelSpec(ChannelFamily.BIT_FLIP, 1 / 7), 0.9)
     p0 = 6 / 7
-    case, p_succ, _, _, lam0, _, _ = success_and_traces(p0, s0, s1)
-    assert 0.0 < 2.0 * p0 - 1.0 - lam0 <= TIE_TOL
+    case, p_succ, _, _, _, lam1, _ = success_and_traces(p0, 1.0 - p0, s0, s1)
+    assert 0.0 < lam1 <= TIE_TOL
     assert case is PovmCase.PROJECTIVE
     assert abs(p_succ - p0) < 1e-15
+    # with w0 one ulp higher the residue vanishes: an exact tie
+    w0 = math.nextafter(p0, 1.0)
+    case, p_succ, _, _, _, lam1, _ = success_and_traces(w0, 1.0 - p0, s0, s1)
+    assert lam1 == 0.0
+    assert case is PovmCase.PROJECTIVE
+    assert abs(p_succ - w0) < 1e-15
     # off the tie, with both eigenvalues clearly positive, it guesses 0
-    case, p_succ, *_ = success_and_traces(0.9, s0, s1)
+    case, p_succ, *_ = success_and_traces(0.9, 0.1, s0, s1)
     assert case is PovmCase.ALWAYS_GUESS_0
     assert p_succ == 0.9
 
 
 def _kernel_cases(rng):
-    """(p0, s0, s1) at the exact branches and ties of the one-shot rule,
-    then at random channel outputs, all with float off-diagonals."""
+    """(w0, w1, s0, s1) at the exact branches and ties of the one-shot rule,
+    then at random channel outputs and weights, all with float
+    off-diagonals."""
     bit_flip = ChannelFamily.BIT_FLIP
     cases = [
         # c = 0 with the top eigenvector e0 and e1, and a vanishing operator
@@ -111,6 +121,11 @@ def _kernel_cases(rng):
         # projector is kept and both kernels take e0, t = rho00 (not rho11)
         (0.5 + 2.0**-43, (0.30319482929173447, 0.6968051707082655, 0.0),
          (0.303194829291645, 0.696805170708355, 0.0)),
+        # hd = 0 in exact arithmetic but a rounding residue, within TIE_TOL
+        # of p0 = 1/2 with states 3e-13 apart: the kernels once took
+        # opposite projectors here, their traces 0.42 apart
+        (0.5000000000003, (0.7116694106067056, 0.28833058939329437, 0.0),
+         (0.7116694106069597, 0.28833058939304035, 0.0)),
         # c = 0 and a subnormal c
         (0.3, (0.7, 0.3, 0.0), (0.2, 0.8, 0.0)),
         (0.3, (0.7, 0.3, 5e-322), (0.2, 0.8, -5e-322)),
@@ -122,11 +137,15 @@ def _kernel_cases(rng):
         (6 / 7, output_entries(ChannelSpec(bit_flip, 6 / 7), 0.9),
          output_entries(ChannelSpec(bit_flip, 1 / 7), 0.9)),
     ]
+    cases = [(p0, 1.0 - p0, s0, s1) for p0, s0, s1 in cases]
     for _ in range(400):
         spec0, spec1 = random_spec_pair(rng, FAMILIES[rng.integers(0, 3)])
         r = float(rng.choice([rng.random(), 0.0, 1.0, 5e-322]))
         p0 = float(rng.choice([rng.random(), 0.0, 0.5, 1.0]))
-        cases.append((p0, output_entries(spec0, r), output_entries(spec1, r)))
+        # the weight of a node some shots deep, or a posterior
+        scale = float(rng.choice([1.0, rng.random() * 2.0 ** -rng.integers(0, 20)]))
+        s0, s1 = output_entries(spec0, r), output_entries(spec1, r)
+        cases.append((scale * p0, scale * (1.0 - p0), s0, s1))
     return cases
 
 
@@ -137,25 +156,46 @@ def test_real_off_diagonal_matches_complex(rng):
     def as_complex(s):
         return s[0], s[1], complex(s[2])
 
-    for p0, s0, s1 in _kernel_cases(rng):
+    for w0, w1, s0, s1 in _kernel_cases(rng):
         assert isinstance(s0[2], float) and isinstance(s1[2], float)
-        want = success_and_traces(p0, as_complex(s0), as_complex(s1))
-        assert success_and_traces(p0, s0, s1) == want, (p0, s0, s1)
+        want = success_and_traces(w0, w1, as_complex(s0), as_complex(s1))
+        assert success_and_traces(w0, w1, s0, s1) == want, (w0, w1, s0, s1)
 
 
-def test_scalar_and_batched_kernels_agree(rng):
-    # success_and_traces and its array twin _shot_batch, at weights
-    # (p0, 1 - p0), one column per case: the same projector or trivial
-    # choice, traces and last-shot success to 1e-15.
+def _batched(monkeypatch, cases, last):
+    """``_shot_batch`` at the cases, one column each, and its projective
+    mask, read from the ``np.where`` that picks each node's result."""
+    w = np.array([[w0 for w0, *_ in cases], [w1 for _, w1, *_ in cases]])
+    s = np.array([[s0 for *_, s0, _ in cases], [s1 for *_, s1 in cases]])
+    masks = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def where(self, cond, a, b):
+            masks.append(cond)
+            return np.where(cond, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(helstrom, "np", Spy())
+        out = _shot_batch(w, 0.5 * (s[:, :, 0] - s[:, :, 1]), s[:, :, 2], last)
+    (projective,) = masks
+    return out, projective
+
+
+def test_scalar_and_batched_kernels_agree(rng, monkeypatch):
+    # success_and_traces and its array twin _shot_batch, one column per
+    # case: the same projector or trivial choice, traces and last-shot
+    # success to 1e-15. Not bit for bit: math.hypot and np.hypot may
+    # differ by an ulp.
     cases = _kernel_cases(rng)
-    w = np.array([[p0 for p0, _, _ in cases], [1.0 - p0 for p0, _, _ in cases]])
-    s = np.array([[s0 for _, s0, _ in cases], [s1 for _, _, s1 in cases]])
-    z = 0.5 * (s[:, :, 0] - s[:, :, 1])
-    x = s[:, :, 2]
-    traces = _shot_batch(w, z, x, False)
-    success = _shot_batch(w, z, x, True)
-    for j, (p0, s0, s1) in enumerate(cases):
-        case, p_succ, t0, t1, *_ = success_and_traces(p0, s0, s1)
+    traces, projective = _batched(monkeypatch, cases, False)
+    success, projective_last = _batched(monkeypatch, cases, True)
+    assert np.array_equal(projective, projective_last)
+    for j, (w0, w1, s0, s1) in enumerate(cases):
+        case, p_succ, t0, t1, *_ = success_and_traces(w0, w1, s0, s1)
+        assert projective[j] == (case is PovmCase.PROJECTIVE), j
         if case is PovmCase.PROJECTIVE:
             assert abs(traces[0, j] - t0) <= 1e-15 and abs(traces[1, j] - t1) <= 1e-15, j
         else:
@@ -193,7 +233,7 @@ def test_success_consistent_with_traces(rng):
         assert abs(res.p_succ - (w.p0 * t0 + (1 - w.p0) * u1)) < 1e-12
         # the kernel's own traces, from complex off-diagonals
         entries = [(r[0, 0].real, r[1, 1].real, complex(r[0, 1])) for r in (w.rho0, w.rho1)]
-        _, _, k0, k1, *_ = success_and_traces(w.p0, *entries)
+        _, _, k0, k1, *_ = success_and_traces(w.p0, 1.0 - w.p0, *entries)
         assert abs(k0 - t0) < 1e-12 and abs(k1 - t1) < 1e-12
 
 

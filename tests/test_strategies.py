@@ -11,8 +11,7 @@ import qcdisc.strategies as strategies
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import WeightedPair, optimal_povm
 from qcdisc.strategies import (
-    BAYES_SHOT_CAP,
-    GLOBAL_SHOT_CAP,
+    SHOT_CAP,
     InputSchedule,
     ScheduleError,
     StrategyKind,
@@ -101,9 +100,9 @@ def test_adaptive_schedule_shapes():
 
 def test_caps_and_family_mismatch():
     with pytest.raises(ValueError):
-        eval_global(*BF, InputSchedule.flat([0.5] * (GLOBAL_SHOT_CAP + 1)))
+        eval_global(*BF, InputSchedule.flat([0.5] * (SHOT_CAP[StrategyKind.GLOBAL] + 1)))
     with pytest.raises(ValueError):
-        eval_bayesian(*BF, InputSchedule.flat([0.5] * (BAYES_SHOT_CAP + 1)))
+        eval_bayesian(*BF, InputSchedule.flat([0.5] * (SHOT_CAP[StrategyKind.BAYESIAN] + 1)))
     with pytest.raises(ValueError):
         eval_global(BF[0], DEP[1], InputSchedule.flat([0.5]))
 
@@ -438,7 +437,7 @@ def test_simulation_samples_the_tree(rng, kind, mode):
             # Every node the walk reaches is in the tree, and its measurement
             # there gives the traces the simulator draws at.
             ev = EVALUATORS[kind](spec0, spec1, sched)
-            for k, i, _, _, _, t0, t1 in _walk(StrategyKind(kind), spec0, spec1, sched)[1]:
+            for k, i, *_, t0, t1 in _walk(StrategyKind(kind), spec0, spec1, sched)[1]:
                 got = [_tree_prob0(ev, kind, spec, sched, k, i) for spec in (spec0, spec1)]
                 assert got == pytest.approx([t0, t1], rel=0.0, abs=1e-12), (k, i)
             # Seeded: a rounding-level difference between the tree's and the
@@ -463,7 +462,7 @@ def sample_indexed(kind, spec0, spec1, sched, trials, seed):
     bayes = kind == "bayesian"
     _, nodes = _walk(StrategyKind(kind), spec0, spec1, sched)
     tables = [np.full((2, 2**k if bayes else 2), 0.5) for k in range(sched.shots)]
-    for k, i, _, _, _, t0, t1 in nodes:
+    for k, i, *_, t0, t1 in nodes:
         tables[k][:, i] = t0, t1
     for table in tables:
         count = _split_counts(rng, kind, count, lambda c, i: table[c, i])
@@ -659,8 +658,9 @@ def test_batched_values_validation():
         values("markovian", family, [0.7, 0.6], [0.3], [[0.5]])
     with pytest.raises(ValueError):
         values("markovian", family, [1.7], [0.3], [[0.5]])
+    past_cap = np.full((1, SHOT_CAP[StrategyKind.BAYESIAN] + 1), 0.5)
     with pytest.raises(ValueError):
-        values("bayesian", family, [0.7], [0.3], np.full((1, BAYES_SHOT_CAP + 1), 0.5))
+        values("bayesian", family, [0.7], [0.3], past_cap)
     assert values("markovian", family, [], [], np.empty((0, 2))).shape == (0,)
 
 
