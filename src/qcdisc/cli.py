@@ -22,6 +22,7 @@ from .channels import ChannelFamily
 from .experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
+    SWEEP_SHOTS,
     VALID_STRATEGIES,
     VALID_SUITES,
     _FEEDFORWARD,
@@ -132,8 +133,9 @@ def _config_from_args(args, needs_points: bool):
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
             given["points"] = list(zip(eta0, eta1))
-    else:  # echo the strategies a sweep runs
+    else:  # echo the strategies and shot count a sweep runs
         given["strategies"] = [kind.value for kind in _FEEDFORWARD]
+        given["n_max"] = SWEEP_SHOTS
 
     out = given.pop("out", None)
     fmt = given.pop("format", "csv")

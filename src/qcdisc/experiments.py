@@ -294,7 +294,7 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
     for (d, mode, _), members in groups.items():
         kinds, cells, cfgs = zip(*(problems[i] for i in members))
         objective = values_objective(
-            kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], d, mode
+            kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], shots, mode
         )
         if family is ChannelFamily.DEPOLARIZING:
             values = objective(np.arange(len(members)), np.zeros((len(members), d)))
@@ -612,6 +612,10 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
 
 
 def _suite_monte_carlo(seed: int) -> list[CheckResult]:
+    """Nine sampled frequencies against their exact values, each within 3
+    sigma. Each check misses by chance about 0.27 % of the time, so a
+    correct program fails the suite at some seeds: of seeds 0-299, at 100,
+    106, 109, 127, 192, 241 and 277."""
     trials = 20000
     checks = []
     sched = InputSchedule.flat([0.3, 0.7, 0.5])

@@ -25,7 +25,8 @@ reach each node, at a cost that does not grow with the number of trials
 trial).
 :func:`values_objective` builds the function that computes the success
 probability of many schedules, channel pairs and strategies at once, level
-by level; the input optimizer calls it, and :func:`values` wraps it.
+by level; the input optimizer calls it with the shot count, and it checks
+that every row it scores has the width that count lays out.
 
 :func:`level_widths` is the one description of how many input values each
 shot gets, the only difference between the two feedforward schedules.
@@ -66,7 +67,6 @@ __all__ = [
     "markovian_value",
     "simulate_protocol",
     "strategy_value",
-    "values",
     "values_objective",
 ]
 
@@ -236,11 +236,11 @@ def _global_products(family, terms, r_rows):
 
 def _spec_products(eta0, eta1, sched):
     """The output products (channel, 2**n, 2**n) of one channel pair and
-    schedule: :func:`_global_products` at one row, from the scalar entries."""
+    schedule: :func:`_global_products` at one row, from the specs' eta
+    factors."""
     _check(StrategyKind.GLOBAL, eta0, eta1, sched)
-    entries = [output_entries(spec, r) for spec in (eta0, eta1) for r in sched.levels]
-    mats = np.array([(a, x, x, b) for a, b, x in entries])
-    return _kron_stack(mats.reshape(2, sched.shots, 2, 2))
+    terms = np.array((eta0._terms, eta1._terms)).T[..., None]  # (term, channel, row)
+    return _global_products(eta0.family, terms, np.array([sched.levels]))[:, 0]
 
 
 def _global_success(products):
@@ -386,27 +386,19 @@ def strategy_value(kind, eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSched
 # batched values
 
 
-def _level_columns(kind: StrategyKind, mode: ScheduleMode, d: int) -> list:
-    """Column slice of each shot's r values in a parameter row of length d."""
-    widths = level_widths(kind, mode, 1)
-    while sum(widths) < d:  # every shot takes at least one value
-        widths = level_widths(kind, mode, len(widths) + 1)
-    if sum(widths) != d:
-        raise ScheduleError(f"{d} {mode.value} {kind.value} parameters fit no shot count")
-    return [slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist())]
-
-
-def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
+def values_objective(kinds, family, eta0, eta1, shots: int, mode=ScheduleMode.FLAT):
     """Success probabilities of many problems' schedules, as one function.
 
     Problem j is the strategy ``kinds[j]`` on the channel pair ``(eta0[j],
-    eta1[j])`` of ``family``, with schedules of ``d`` values laid out in
-    ``mode`` as :func:`values` reads them. Everything but the schedules is
+    eta1[j])`` of ``family``, with schedules of ``shots`` shots laid out in
+    ``mode``: a row holds the shots' values concatenated, as
+    :func:`level_widths` lays them out. Everything but the schedules is
     checked here, once, and the eta factors of the outputs are computed
     once. Returns ``f(problem, r_rows)``, the objective that
-    :func:`~qcdisc.optimizer.maximize_batch` takes: it checks only that r
-    lies in [0, 1], and returns the success probability of row i, problem
-    ``problem[i]`` at the schedule ``r_rows[i]``.
+    :func:`~qcdisc.optimizer.maximize_batch` takes: it checks only that
+    every row has the layout's width and that r lies in [0, 1], and returns
+    the success probability of row i, problem ``problem[i]`` at the
+    schedule ``r_rows[i]``.
 
     Bayesian and Markovian problems may mix where their schedules share a
     layout (flat, or adaptive up to two shots) and then run in one walk,
@@ -432,22 +424,31 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
         )
     eta = np.array((eta0, eta1))
     _check_eta(family, eta)
-    layouts = [_level_columns(k, mode, d) for k in set(kinds)]
-    if any(lay != layouts[0] for lay in layouts):
-        raise ScheduleError(f"bayesian and markovian schedules of {d} values differ in layout")
-    levels = layouts[0] if layouts else [slice(0, 1)]  # no problem: no row to walk
+    layouts = {tuple(level_widths(kind, mode, shots)) for kind in set(kinds)}
+    if len(layouts) > 1:
+        raise ScheduleError(f"bayesian and markovian schedules of {shots} shots differ in layout")
+    widths = layouts.pop() if layouts else (1,) * shots  # no problem: no row to walk
+    d = sum(widths)
+    levels = [slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist())]
     for kind in set(kinds):
-        _check_shots(kind, len(levels))
+        _check_shots(kind, shots)
+
+    def checked(r_rows):
+        r_rows = _checked_rows(r_rows)
+        if r_rows.ndim != 2 or r_rows.shape[1] != d:
+            raise ScheduleError(f"expected (rows, {d}) schedules, got {r_rows.shape}")
+        return r_rows
+
     terms = np.array(_eta_terms(family, eta, np))  # (term, channel, problem)
     if StrategyKind.GLOBAL in kinds:
         if set(kinds) != {StrategyKind.GLOBAL}:
             raise ScheduleError("global problems share no walk with the other strategies")
         # Rows per stacked eigensolve, so that the products of a chunk hold
         # at most _GLOBAL_CHUNK_BYTES.
-        step = max(1, _GLOBAL_CHUNK_BYTES // (2 * 8 * 4**d))
+        step = max(1, _GLOBAL_CHUNK_BYTES // (2 * 8 * 4**shots))
 
         def stacked(problem, r_rows):
-            r_rows = _checked_rows(r_rows)
+            r_rows = checked(r_rows)
             p = np.empty(len(r_rows))
             for a in range(0, len(r_rows), step):
                 chunk = slice(a, a + step)
@@ -460,7 +461,7 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
     markov = np.array([k is StrategyKind.MARKOVIAN for k in kinds], dtype=float)
 
     def walk(problem, r_rows):
-        r_rows = _checked_rows(r_rows)
+        r_rows = checked(r_rows)
         rows = len(r_rows)
         mrow = markov.take(problem)  # 1.0 on a Markovian row, else 0.0
         markov_rows = np.count_nonzero(mrow)
@@ -491,24 +492,6 @@ def values_objective(kinds, family, eta0, eta1, d: int, mode=ScheduleMode.FLAT):
         return 0.5 * p[0]
 
     return walk
-
-
-def values(kind, family, eta0, eta1, r_rows, mode=ScheduleMode.FLAT) -> np.ndarray:
-    """Success probabilities of many schedules at once.
-
-    Row i of ``r_rows`` is a schedule for the channel pair
-    ``(eta0[i], eta1[i])`` of ``family``, its shots' values concatenated as
-    :func:`level_widths` lays them out in ``mode``. Each row is its own
-    problem of :func:`values_objective`. The Bayesian and Markovian values
-    agree with :func:`bayesian_value` and :func:`markovian_value` to 1e-14,
-    not bit for bit.
-    """
-    r_rows = np.asarray(r_rows, dtype=float)
-    if r_rows.ndim != 2:
-        raise ScheduleError(f"expected (rows, d) schedules, got {r_rows.shape}")
-    rows = len(r_rows)
-    f = values_objective([StrategyKind(kind)] * rows, family, eta0, eta1, r_rows.shape[1], mode)
-    return f(np.arange(rows), r_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from qcdisc.strategies import (
 from qcdisc.experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
+    SWEEP_SHOTS,
     ConfigError,
     closed_form_one_shot,
     make_config,
@@ -355,7 +356,9 @@ def test_cli_sweep_header_echoes_the_strategies_it_runs(capsys):
     assert main(["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--jobs", "1"]) == 0
     header = capsys.readouterr().out.splitlines()[1]
     assert header.startswith("# config: ")
-    assert json.loads(header[len("# config: "):])["strategies"] == ["bayesian", "markovian"]
+    echo = json.loads(header[len("# config: "):])
+    assert echo["strategies"] == ["bayesian", "markovian"]
+    assert echo["n_max"] == SWEEP_SHOTS == 3
 
 
 def test_sweep_parallel_matches_serial():
@@ -719,6 +722,7 @@ def test_cli_config_null_settings_exit_2(tmp_path, capsys):
     ("curve", {"points": [[0.7, 0.3]], "fmt": "json"}, "fmt"),
     ("sweep-diff", {"grid": [0, 1, 3], "points": [[0.7, 0.3]]}, "points"),
     ("sweep-diff", {"grid": [0, 1, 3], "strategies": "global"}, "strategies"),
+    ("sweep-diff", {"grid": [0, 1, 3], "n_max": 3}, "n_max"),
 ])
 def test_cli_config_keys_the_command_does_not_read_exit_2(tmp_path, capsys, cmd, settings, key):
     cfg_file = tmp_path / "cfg.json"

@@ -23,7 +23,7 @@ from qcdisc.strategies import (
     markovian_value,
     simulate_protocol,
     strategy_value,
-    values,
+    level_widths,
     values_objective,
 )
 from qcdisc.strategies import _global_measurement, _kron_stack, _walk
@@ -256,7 +256,7 @@ def test_continuous_at_box_edge_on_the_mirror_tie():
     for kind, value in (("bayesian", bayesian_value), ("markovian", markovian_value)):
         want = value(spec0, spec1, InputSchedule.flat(inside))
         assert abs(value(spec0, spec1, InputSchedule.flat(edge)) - want) <= 1e-6, kind
-        batched = values(kind, family, [6 / 7], [1 / 7], [edge])[0]
+        batched = objective_values(kind, family, [6 / 7], [1 / 7], [edge], 3)[0]
         assert abs(batched - want) <= 1e-6, kind
     sched = InputSchedule.flat(edge)
     assert bayesian_value(spec0, spec1, sched) <= global_value(spec0, spec1, sched) + 1e-12
@@ -431,8 +431,8 @@ def test_simulation_samples_the_tree(rng, kind, mode):
     trials = 4000
     for spec0, spec1 in ALL_PAIRS:
         for shots in (1, 2, 4):
-            d = shots if mode == "flat" else (2**shots - 1 if kind == "bayesian" else 2 * shots - 1)
-            sched = schedule_of_row(kind, mode, rng.random(d))
+            d = sum(level_widths(kind, mode, shots))
+            sched = schedule_of_row(kind, mode, shots, rng.random(d))
             seed = int(rng.integers(2**31))
             # Every node the walk reaches is in the tree, and its measurement
             # there gives the traces the simulator draws at.
@@ -477,8 +477,8 @@ def sample_indexed(kind, spec0, spec1, sched, trials, seed):
 def test_simulation_equals_indexed_sampler(rng, kind, mode):
     for spec0, spec1 in ALL_PAIRS:
         for shots in (1, 3, 5):
-            d = shots if mode == "flat" else 2 * shots - 1
-            sched = schedule_of_row(kind, mode, rng.random(d))
+            d = sum(level_widths(kind, mode, shots))
+            sched = schedule_of_row(kind, mode, shots, rng.random(d))
             for seed in (0, 1, 12345):
                 freq = simulate_protocol(kind, spec0, spec1, sched, 3000, seed)
                 assert freq == sample_indexed(kind, spec0, spec1, sched, 3000, seed)
@@ -530,12 +530,16 @@ def test_simulation_spread_is_binomial(kind):
 # batched values
 
 
+def objective_values(kind, family, eta0, eta1, r_rows, shots, mode="flat"):
+    """The values of ``shots``-shot schedule rows, each row its own problem
+    of one ``kind`` objective."""
+    f = values_objective([kind] * len(r_rows), family, eta0, eta1, shots, mode)
+    return f(np.arange(len(r_rows)), r_rows)
+
+
 def random_rows(rng, kind, mode, shots, rows):
-    """Schedule rows for ``values`` with boundary and subnormal r mixed in."""
-    if mode == "flat":
-        d = shots
-    else:
-        d = 2**shots - 1 if kind == "bayesian" else 2 * shots - 1
+    """Schedule rows with boundary and subnormal r mixed in."""
+    d = sum(level_widths(kind, mode, shots))
     r_rows = rng.uniform(0.0, 1.0, (rows, d))
     r_rows[0] = 0.0
     r_rows[1] = 1.0
@@ -545,16 +549,11 @@ def random_rows(rng, kind, mode, shots, rows):
     return r_rows
 
 
-def schedule_of_row(kind, mode, row):
+def schedule_of_row(kind, mode, shots, row):
     if mode == "flat":
         return InputSchedule.flat(row)
-    levels, start, k = [], 0, 0
-    while start < len(row):
-        width = 2**k if kind == "bayesian" else min(2**k, 2)
-        levels.append(row[start : start + width])
-        start += width
-        k += 1
-    return InputSchedule.adaptive(levels)
+    ends = np.cumsum(level_widths(kind, mode, shots))
+    return InputSchedule.adaptive(np.split(row, ends[:-1]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -572,16 +571,16 @@ def test_batched_values_match_scalar(rng, family, kind, mode):
         eta1 = np.array([s1.eta for _, s1 in pairs])
         r_rows = random_rows(rng, kind, mode, shots, len(pairs))
         with np.errstate(divide="raise", invalid="raise"):  # no 0/0 where h = 0
-            got = values(kind, family, eta0, eta1, r_rows, mode)
+            got = objective_values(kind, family, eta0, eta1, r_rows, shots, mode)
         for (s0, s1), row, value in zip(pairs, r_rows, got):
-            want = strategy_value(kind, s0, s1, schedule_of_row(kind, mode, row))
+            want = strategy_value(kind, s0, s1, schedule_of_row(kind, mode, shots, row))
             assert abs(value - want) <= 1e-14
 
 
 def test_batched_global_loops_scalar(rng):
     s0, s1 = AD
     r_rows = rng.random((3, 3))
-    got = values("global", s0.family, [s0.eta] * 3, [s1.eta] * 3, r_rows)
+    got = objective_values("global", s0.family, [s0.eta] * 3, [s1.eta] * 3, r_rows, 3)
     assert list(got) == [global_value(s0, s1, InputSchedule.flat(r)) for r in r_rows]
 
 
@@ -604,10 +603,42 @@ def test_stacked_global_rows_equal_global_value(rng, family):
     eta1 = [s1.eta for _, s1 in pairs]
     for shots in range(1, 7):
         r_rows = random_rows(rng, "global", "flat", shots, len(pairs))
-        got = values("global", family, eta0, eta1, r_rows)
+        got = objective_values("global", family, eta0, eta1, r_rows, shots)
         for (s0, s1), r, p in zip(pairs, r_rows, got):
             assert abs(p - global_value(s0, s1, InputSchedule.flat(r))) <= 1e-15
             assert abs(p - kraus_global_value(s0, s1, r)) <= 1e-12
+
+
+# The corners where every output is diagonal, with the output's rho00 as a
+# function of eta, from the channels' definitions.
+CORNERS = [
+    (ChannelFamily.BIT_FLIP, 0.0, lambda eta: 1.0 - eta),
+    (ChannelFamily.BIT_FLIP, 1.0, lambda eta: eta),
+    (ChannelFamily.AMPLITUDE_DAMPING, 1.0, lambda eta: math.sin(eta) ** 2),
+    (ChannelFamily.DEPOLARIZING, 0.0, lambda eta: 1.0 - 0.5 * eta),
+]
+
+
+@pytest.mark.parametrize("family,r,rho00", CORNERS)
+def test_global_value_at_a_corner_is_the_binomial_test(family, r, rho00):
+    # n copies of a diagonal output: the collective measurement is the
+    # likelihood-ratio test on the count of outcomes 0 (Calsamiglia et al.,
+    # PRA 77, 032311 (2008)), so the value is 1/2 plus a quarter of the l1
+    # distance of two binomial laws. No Kronecker product is built here.
+    hi = ETA_MAX[family]
+    for eta0, eta1 in ((0.75 * hi, 0.4 * hi), (0.95 * hi, 0.6 * hi), (0.6 * hi, 0.1 * hi)):
+        q0, q1 = rho00(eta0), rho00(eta1)
+        spec0, spec1 = ChannelSpec(family, eta0), ChannelSpec(family, eta1)
+        for n in range(1, 9):
+            want = 0.5 + 0.25 * sum(
+                math.comb(n, k) * abs(q0**k * (1 - q0) ** (n - k) - q1**k * (1 - q1) ** (n - k))
+                for k in range(n + 1)
+            )
+            sched = InputSchedule.flat([r] * n)
+            stacked = objective_values("global", family, [eta0], [eta1], [[r] * n], n)[0]
+            for got in (global_value(spec0, spec1, sched), eval_global(spec0, spec1, sched).p_succ,
+                        stacked):
+                assert abs(got - want) <= 1e-12, (eta0, eta1, n)
 
 
 def test_stacked_global_chunks_change_no_value(rng, monkeypatch):
@@ -616,11 +647,11 @@ def test_stacked_global_chunks_change_no_value(rng, monkeypatch):
     eta0 = [s0.eta for s0, _ in pairs]
     eta1 = [s1.eta for _, s1 in pairs]
     r_rows = random_rows(rng, "global", "flat", 4, len(pairs))
-    whole = values("global", family, eta0, eta1, r_rows)
+    whole = objective_values("global", family, eta0, eta1, r_rows, 4)
     # Two rows of 4 shots per chunk, then one.
     for cap in (2 * 2 * 8 * 4**4, 1):
         monkeypatch.setattr(strategies, "_GLOBAL_CHUNK_BYTES", cap)
-        assert np.array_equal(values("global", family, eta0, eta1, r_rows), whole)
+        assert np.array_equal(objective_values("global", family, eta0, eta1, r_rows, 4), whole)
 
 
 @pytest.mark.parametrize("kind,mode,shots", [
@@ -635,33 +666,54 @@ def test_batched_values_independent_of_batch(rng, kind, mode, shots):
     eta0 = np.array([s0.eta for s0, _ in pairs])
     eta1 = np.array([s1.eta for _, s1 in pairs])
     r_rows = random_rows(rng, kind, mode, shots, len(pairs))
-    full = values(kind, family, eta0, eta1, r_rows, mode)
+    full = objective_values(kind, family, eta0, eta1, r_rows, shots, mode)
     perm = rng.permutation(len(pairs))
-    shuffled = values(kind, family, eta0[perm], eta1[perm], r_rows[perm], mode)
+    shuffled = objective_values(kind, family, eta0[perm], eta1[perm], r_rows[perm], shots, mode)
     assert np.array_equal(shuffled, full[perm])
     for i in (0, 3, 17):
-        alone = values(kind, family, eta0[i : i + 1], eta1[i : i + 1], r_rows[i : i + 1], mode)
+        one = slice(i, i + 1)
+        alone = objective_values(kind, family, eta0[one], eta1[one], r_rows[one], shots, mode)
         assert alone[0] == full[i]
 
 
 def test_batched_values_validation():
     family = ChannelFamily.BIT_FLIP
     with pytest.raises(ScheduleError):
-        values("bayesian", family, [0.7], [0.3], [[0.5, 1.5]])
+        objective_values("bayesian", family, [0.7], [0.3], [[0.5, 1.5]], 2)
+    with pytest.raises(ScheduleError):  # 2 adaptive shots take 1 + 2 values
+        objective_values("bayesian", family, [0.7], [0.3], [[0.5, 0.5]], 2, "adaptive")
     with pytest.raises(ScheduleError):
-        values("bayesian", family, [0.7], [0.3], [[0.5, 0.5]], "adaptive")  # 2 fits no shot count
+        objective_values("markovian", family, [0.7], [0.3], [[0.5, 0.5]], 2, "adaptive")
     with pytest.raises(ScheduleError):
-        values("markovian", family, [0.7], [0.3], [[0.5, 0.5]], "adaptive")
+        objective_values("global", family, [0.7], [0.3], [[0.5, 0.5, 0.5]], 3, "adaptive")
     with pytest.raises(ScheduleError):
-        values("global", family, [0.7], [0.3], [[0.5, 0.5, 0.5]], "adaptive")
-    with pytest.raises(ScheduleError):
-        values("markovian", family, [0.7, 0.6], [0.3], [[0.5]])
+        objective_values("markovian", family, [0.7, 0.6], [0.3], [[0.5]], 1)
     with pytest.raises(ValueError):
-        values("markovian", family, [1.7], [0.3], [[0.5]])
-    past_cap = np.full((1, SHOT_CAP[StrategyKind.BAYESIAN] + 1), 0.5)
+        objective_values("markovian", family, [1.7], [0.3], [[0.5]], 1)
+    shots = SHOT_CAP[StrategyKind.BAYESIAN] + 1
     with pytest.raises(ValueError):
-        values("bayesian", family, [0.7], [0.3], past_cap)
-    assert values("markovian", family, [], [], np.empty((0, 2))).shape == (0,)
+        objective_values("bayesian", family, [0.7], [0.3], np.full((1, shots), 0.5), shots)
+    assert objective_values("markovian", family, [], [], np.empty((0, 2)), 2).shape == (0,)
+
+
+@pytest.mark.parametrize("kind,mode,shots,d", [
+    ("markovian", "flat", 2, 2),
+    ("bayesian", "adaptive", 3, 7),
+    ("markovian", "adaptive", 3, 5),
+    ("global", "flat", 2, 2),
+])
+def test_objective_refuses_rows_of_another_width(kind, mode, shots, d, monkeypatch):
+    # A row one value too wide or too narrow for the layout is refused
+    # before any output is built, not scored as a schedule of other shots.
+    def never(*args):
+        raise AssertionError("an output was built")
+
+    monkeypatch.setattr(strategies, "_entries", never)
+    f = values_objective([kind], "bit-flip", [0.7], [0.3], shots, mode)
+    for width in (d + 1, d - 1):
+        want = rf"expected \(rows, {d}\) schedules, got \(1, {width}\)"
+        with pytest.raises(ScheduleError, match=want):
+            f(np.array([0]), np.full((1, width), 0.5))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -674,25 +726,25 @@ def test_objective_mixes_kinds_bit_for_bit(rng, family, mode, shots):
     eta0 = np.array([s0.eta for s0, _ in pairs])
     eta1 = np.array([s1.eta for _, s1 in pairs])
     kinds = rng.permutation(["bayesian", "markovian"] * 6)
-    d = shots if mode == "flat" else 3  # both kinds lay out 1 + 2 values
-    f = values_objective(kinds, family, eta0, eta1, d, mode)
+    f = values_objective(kinds, family, eta0, eta1, shots, mode)
     everyone = np.arange(12)
     for subset in (everyone, everyone[kinds == "bayesian"], everyone[kinds == "markovian"]):
         problem = rng.permutation(np.repeat(subset, 3))
         r_rows = random_rows(rng, "bayesian", mode, shots, len(problem))
         got = f(problem, r_rows)
-        for kind in ("bayesian", "markovian"):
+        for kind in set(kinds[problem]):
             mine = kinds[problem] == kind
             j = problem[mine]
-            assert np.array_equal(got[mine], values(kind, family, eta0[j], eta1[j], r_rows[mine], mode))
+            alone = objective_values(kind, family, eta0[j], eta1[j], r_rows[mine], shots, mode)
+            assert np.array_equal(got[mine], alone)
 
 
 def test_objective_validation():
     family = ChannelFamily.BIT_FLIP
     with pytest.raises(ScheduleError):
         values_objective(["global", "bayesian"], family, [0.7, 0.7], [0.3, 0.3], 3)
-    with pytest.raises(ScheduleError):  # 3 Bayesian shots against 4 Markovian ones
-        values_objective(["bayesian", "markovian"], family, [0.7, 0.7], [0.3, 0.3], 7, "adaptive")
+    with pytest.raises(ScheduleError):  # 3 adaptive shots: 1 + 2 + 4 against 1 + 2 + 2 values
+        values_objective(["bayesian", "markovian"], family, [0.7, 0.7], [0.3, 0.3], 3, "adaptive")
     with pytest.raises(ValueError):
         values_objective(["markovian", "markovian"], family, [0.7, 1.3], [0.3, 0.3], 2)
     f = values_objective(["bayesian", "markovian"], family, [0.7, 0.7], [0.3, 0.3], 2)
