@@ -144,6 +144,8 @@ def _config_from_args(args, needs_points: bool):
     cfg = make_config(**given)
     if out:  # checked before the run, which may take hours
         folder = os.path.dirname(os.path.abspath(out))
+        if os.path.isdir(out):
+            raise ConfigError(f"cannot write {out}: it is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
     return cfg, _WRITERS[fmt], out

@@ -122,9 +122,10 @@ SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 def _number(kind, value, name: str, low=None):
     """``kind(value)``, or a :class:`ConfigError` naming the setting; an
-    integer setting takes no fraction, and none may lie below ``low``."""
+    integer setting takes no fraction, no setting a boolean, and none may
+    lie below ``low``."""
     try:
-        number = kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError):
         number = None
     if number is None or (isinstance(value, float) and number != value):
@@ -162,8 +163,10 @@ def make_config(
     hi = ETA_MAX[family]
 
     try:
-        entered_points = tuple((float(a), float(b)) for a, b in (points or ()))
-    except (TypeError, ValueError):
+        entered_points = tuple(
+            (_number(float, a, "eta0"), _number(float, b, "eta1")) for a, b in (points or ())
+        )
+    except (TypeError, ValueError):  # _number's ConfigError too: name all the points
         raise ConfigError(f"points must be [eta0, eta1] pairs of numbers, got {points!r}") from None
     raw_points = tuple((a * hi, b * hi) for a, b in entered_points)
     for (e0, e1), (raw0, raw1) in zip(entered_points, raw_points):

@@ -19,16 +19,16 @@ for inputs that move off the tie, and unlike a trivial POVM it leaves
 information for later shots.
 
 Both kernels, the scalar :func:`success_and_traces` and the batched
-:func:`_shot_batch`, write this rule in one arithmetic, the Bloch picture.
-State c enters as z_c = (rho00 - rho11)/2 and x_c = rho01. The difference
-operator has g = (w0 - w1)/2 times the identity plus the Bloch part
-hd = w0*z0 - w1*z1, dc = w0*x0 - w1*x1; with h = hypot(hd, |dc|), lam0,
-lam1 = g +- h, and the top eigenvector has the unit Bloch vector
-(nz, nx) = (hd, dc)/h, the projector pi0 = 1/2 [[1 + nz, nx],
-[conj(nx), 1 - nz]]; where h = 0 both take e0, (nz, nx) = (1, 0). Then
-t_c = Tr(rho_c pi0) = 1/2 + z_c*nz + Re(x_c*conj(nx)). The scalar kernel
-takes a float or complex off-diagonal, the batched one real states at many
-nodes, and for a last shot yields only its success. Both clamp traces into
+:func:`_shot_batch`, write this rule in one real arithmetic, the Bloch
+picture. State c enters as z_c = (rho00 - rho11)/2 and a real x_c = rho01
+(channel outputs are real; :func:`optimal_povm` rotates a general pair's
+phase away). The difference operator has g = (w0 - w1)/2 times the identity
+plus the Bloch part hd = w0*z0 - w1*z1, dc = w0*x0 - w1*x1; with h =
+hypot(hd, dc), lam0, lam1 = g +- h, and the top eigenvector has the unit
+Bloch vector (nz, nx) = (hd, dc)/h, the projector pi0 = 1/2 [[1 + nz, nx],
+[nx, 1 - nz]]; where h = 0 both take e0, (nz, nx) = (1, 0). Then t_c =
+Tr(rho_c pi0) = 1/2 + z_c*nz + x_c*nx. The batched kernel takes many nodes,
+and for a last shot yields only their success. Both clamp traces into
 [0, 1], so 1 - t never leaves a negative weight after rounding.
 """
 
@@ -56,8 +56,10 @@ __all__ = [
 # difference operator below it, times the total weight, count as zero.
 TIE_TOL = 1e-12
 
-_I2 = np.eye(2, dtype=complex)
-_ZERO2 = np.zeros((2, 2), dtype=complex)
+_STATE_TOL = 1e-10  # a state's defects, as the povm suite bounds a POVM's
+
+_I2 = np.eye(2)
+_ZERO2 = np.zeros((2, 2))
 
 
 class PovmCase(str, enum.Enum):
@@ -68,7 +70,8 @@ class PovmCase(str, enum.Enum):
 
 @dataclass(frozen=True)
 class WeightedPair:
-    """Two density matrices with prior weight p0 on the first."""
+    """Two qubit states, 2x2, Hermitian, of unit trace and positive
+    semidefinite within _STATE_TOL, with prior weight p0 on the first."""
 
     p0: float
     rho0: np.ndarray
@@ -77,6 +80,16 @@ class WeightedPair:
     def __post_init__(self):
         if not 0.0 <= self.p0 <= 1.0:
             raise ValueError(f"p0 must be in [0, 1], got {self.p0}")
+        for name in ("rho0", "rho1"):
+            rho = np.asarray(getattr(self, name))
+            if rho.shape != (2, 2):
+                raise ValueError(f"{name} must be 2x2, got shape {rho.shape}")
+            if np.abs(rho - rho.conj().T).max() > _STATE_TOL:
+                raise ValueError(f"{name} must be Hermitian")
+            if abs(np.trace(rho) - 1.0) > _STATE_TOL:
+                raise ValueError(f"{name} must have unit trace, got {np.trace(rho)}")
+            if np.linalg.eigvalsh(rho)[0] < -_STATE_TOL:
+                raise ValueError(f"{name} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -96,21 +109,15 @@ class HelstromResult:
     lambda1: float
 
 
-def _entries(rho: np.ndarray):
-    return rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1])
-
-
-def eig2_entries(g: float, hd: float, dc):
-    """Closed-form eigensystem of ``[[g + hd, dc], [conj(dc), g - hd]]``.
+def eig2_entries(g: float, hd: float, dc: float):
+    """Closed-form eigensystem of the real ``[[g + hd, dc], [dc, g - hd]]``.
 
     Returns ``(lam0, lam1, nz, nx)`` with lam0 >= lam1 and ``(nz, nx)`` the
     unit Bloch vector of the top eigenvector, whose projector is
-    ``1/2 [[1 + nz, nx], [conj(nx), 1 - nz]]``; e0, ``(1.0, 0.0)``, where the
-    eigenvalues coincide. One kernel serves both kinds of off-diagonal:
-    ``dc`` is a float for every channel output and may be complex for a
-    general state passed to :func:`optimal_povm`.
+    ``1/2 [[1 + nz, nx], [nx, 1 - nz]]``; e0, ``(1.0, 0.0)``, where the
+    eigenvalues coincide.
     """
-    h = math.hypot(hd, abs(dc))
+    h = math.hypot(hd, dc)
     if h == 0.0:
         return g, g, 1.0, 0.0
     return g + h, g - h, hd / h, dc / h
@@ -119,7 +126,7 @@ def eig2_entries(g: float, hd: float, dc):
 def success_and_traces(w0: float, w1: float, s0, s1):
     """Scalar core of the optimal measurement at the weights ``(w0, w1)``.
 
-    ``s0``/``s1`` are states in entry form ``(rho00, rho11, rho01)``.
+    ``s0``/``s1`` are states in real entry form ``(rho00, rho11, rho01)``.
     Returns ``(case, p_succ, t0, t1, lam0, lam1, n)``, with the success
     ``p_succ`` and lam0, lam1 at the scale of the weights,
     ``t_c = Tr(rho_c pi0)`` and ``n = (nz, nx)`` the Bloch vector of the
@@ -137,9 +144,8 @@ def success_and_traces(w0: float, w1: float, s0, s1):
     if lam0 > -tol and lam1 <= tol and (
         lam0 > 0.0 or max(abs(w0 - w1), 2.0 * abs(hd)) + abs(dc) > tol
     ):
-        nxc = nx.conjugate()
-        t0 = 0.5 + z0 * nz + (s0[2] * nxc).real
-        t1 = 0.5 + z1 * nz + (s1[2] * nxc).real
+        t0 = 0.5 + z0 * nz + s0[2] * nx
+        t1 = 0.5 + z1 * nz + s1[2] * nx
         if not 0.0 <= t0 <= 1.0:
             t0 = 0.0 if t0 < 0.0 else 1.0
         if not 0.0 <= t1 <= 1.0:
@@ -186,7 +192,7 @@ def _shot_batch(w, z, x, last):
 def _build_povm(case: PovmCase, n) -> Povm:
     if case is PovmCase.PROJECTIVE:
         nz, nx = n
-        pi0 = 0.5 * np.array([[1.0 + nz, nx], [nx.conjugate(), 1.0 - nz]], dtype=complex)
+        pi0 = 0.5 * np.array([[1.0 + nz, nx], [nx.conjugate(), 1.0 - nz]])
         return Povm(pi0, _I2 - pi0, case)
     if case is PovmCase.ALWAYS_GUESS_0:
         return Povm(_I2.copy(), _ZERO2.copy(), case)
@@ -194,10 +200,15 @@ def _build_povm(case: PovmCase, n) -> Povm:
 
 
 def optimal_povm(w: WeightedPair) -> HelstromResult:
-    """Optimal binary POVM and its success probability."""
-    s0, s1 = (_entries(np.asarray(rho, dtype=complex)) for rho in (w.rho0, w.rho1))
+    """Optimal binary POVM and its success probability. With u the phase of
+    dc = p0*rho0[0, 1] - p1*rho1[0, 1], diag(1, conj(u)) makes dc real and
+    keeps every success probability; the kernel's nx rotates back to nx/u."""
+    rho0, rho1 = np.asarray(w.rho0), np.asarray(w.rho1)
+    dc = w.p0 * rho0[0, 1] - (1.0 - w.p0) * rho1[0, 1]
+    u = dc.conjugate() / abs(dc) if dc else 1.0  # exactly +-1 for a real dc
+    s0, s1 = ((rho[0, 0].real, rho[1, 1].real, (u * rho[0, 1]).real) for rho in (rho0, rho1))
     case, p_succ, _, _, lam0, lam1, n = success_and_traces(w.p0, 1.0 - w.p0, s0, s1)
-    return HelstromResult(_build_povm(case, n), p_succ, lam0, lam1)
+    return HelstromResult(_build_povm(case, n and (n[0], n[1] / u)), p_succ, lam0, lam1)
 
 
 def povm_defect(m: Povm) -> float:

@@ -210,7 +210,7 @@ def _kron_stack(mats):
     for k in range(1, mats.shape[-3]):
         m = mats[..., k, :, :, None, None]
         dim = out.shape[-1]
-        nxt = np.empty(out.shape[:-2] + (2 * dim, 2 * dim), dtype=np.result_type(out, m))
+        nxt = np.empty(out.shape[:-2] + (2 * dim, 2 * dim))
         for a in range(2):
             for b in range(2):
                 np.multiply(out, m[..., a, b, :, :], out=nxt[..., a::2, b::2])
@@ -257,16 +257,16 @@ def _global_measurement(eta0, eta1, sched):
     vals, vecs = np.linalg.eigh(delta)
     mask = vals >= 0.0
     dim = delta.shape[0]
-    eye = np.eye(dim, dtype=delta.dtype)
+    eye = np.eye(dim)
     if mask.all():
         pi0, tag = eye, PovmCase.ALWAYS_GUESS_0
     elif not mask.any():
-        pi0, tag = np.zeros((dim, dim), dtype=delta.dtype), PovmCase.ALWAYS_GUESS_1
+        pi0, tag = np.zeros((dim, dim)), PovmCase.ALWAYS_GUESS_1
     else:
         kept = vecs[:, mask]
-        pi0, tag = kept @ kept.conj().T, PovmCase.PROJECTIVE
+        pi0, tag = kept @ kept.T, PovmCase.PROJECTIVE
     pi1 = eye - pi0
-    return Povm(pi0, pi1, tag), np.trace(r0 @ pi0).real, np.trace(r1 @ pi1).real
+    return Povm(pi0, pi1, tag), np.trace(r0 @ pi0), np.trace(r1 @ pi1)
 
 
 def eval_global(eta0: ChannelSpec, eta1: ChannelSpec, sched: InputSchedule) -> StrategyEval:

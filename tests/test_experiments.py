@@ -699,6 +699,13 @@ def test_cli_bad_config_exits_2():
     ("curve", {"points": [[0.7]]}),
     ("curve", {"points": [[0.7, 0.3]], "n_max": "abc"}),
     ("sweep-diff", {"grid": [0, 1, 3.9]}),
+    # JSON booleans are no numbers
+    ("curve", {"points": [[0.7, 0.3]], "n_max": True}),
+    ("curve", {"points": [[0.7, 0.3]], "value_tol": True}),
+    ("curve", {"points": [[0.7, 0.3]], "max_evals": True}),
+    ("curve", {"points": [[0.7, 0.3]], "seed": False}),
+    ("curve", {"points": [[True, False]]}),
+    ("sweep-diff", {"grid": [False, True, 3]}),
 ])
 def test_cli_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, cmd, settings):
     cfg_file = tmp_path / "cfg.json"
@@ -755,16 +762,17 @@ def test_cli_rejects_unknown_format(tmp_path, capsys):
 
 def test_cli_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
     def never(cfg):
-        raise AssertionError("the sweep ran")
+        raise AssertionError("the run started")
 
     monkeypatch.setattr(cli, "run_sweep_diff", never)
+    monkeypatch.setattr(cli, "run_curve", never)
     out = tmp_path / "missing" / "x.csv"
     assert main(["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    # A path that passes the check but cannot be opened fails at write time.
+    # An existing directory cannot be opened as a file.
     argv = ["curve", "--family", "depolarizing", "--eta0", "0.75", "--eta1", "0.4"]
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert "is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

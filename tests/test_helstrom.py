@@ -39,6 +39,25 @@ def test_delta_trace_identity(rng):
         assert abs(np.trace(delta_op(w)).real - 0.4) < 1e-12
 
 
+@pytest.mark.parametrize("rho,condition", [
+    (np.eye(3) / 3, "2x2"),
+    ([[1, 1], [0, 0]], "Hermitian"),
+    (np.diag([4.0, 1.0]), "unit trace"),
+    (np.diag([1.5, -0.5]), "positive semidefinite"),
+])
+def test_weighted_pair_refuses_what_is_no_state(rho, condition):
+    # [[1, 1], [0, 0]] is not Hermitian; read as a state, it gives a p_succ above 1.
+    for pair in ((rho, MIXED), (MIXED, rho)):
+        with pytest.raises(ValueError, match=condition):
+            WeightedPair(0.5, *pair)
+
+
+def test_weighted_pair_takes_states_within_tolerance():
+    off = 1e-12 * np.array([[1.0, 1j], [0.0, -2.0]])
+    res = optimal_povm(WeightedPair(0.5, KET0 + off, [[0, 0], [0, 1]]))
+    assert abs(res.p_succ - 1.0) < 1e-11
+
+
 def test_projective_case_orthogonal_states():
     res = optimal_povm(WeightedPair(0.5, KET0, KET1))
     assert res.povm.case_tag is PovmCase.PROJECTIVE
@@ -71,15 +90,15 @@ def test_degenerate_boundary_is_a_fair_coin():
 def test_exact_tie_keeps_the_projector():
     # p0 rho0 - p1 rho1 = diag(0, -0.2): lam0 is exactly 0, so measuring and
     # always guessing 1 tie at 0.6; only the measurement informs later shots.
-    s0 = (0.6, 0.4, 0.0j)
-    s1 = (0.4, 0.6, 0.0j)
+    s0 = (0.6, 0.4, 0.0)
+    s1 = (0.4, 0.6, 0.0)
     case, p_succ, t0, t1, lam0, _, _ = success_and_traces(0.4, 0.6, s0, s1)
     assert lam0 == 0.0
     assert case is PovmCase.PROJECTIVE
     assert abs(p_succ - 0.6) < 1e-15
     assert (t0, t1) == (0.6, 0.4)
     # a rounding residue below zero is a tie too
-    case, *_ = success_and_traces(0.4, 0.6, (0.6, 0.4 + 1e-17, 0.0j), s1)
+    case, *_ = success_and_traces(0.4, 0.6, (0.6, 0.4 + 1e-17, 0.0), s1)
     assert case is PovmCase.PROJECTIVE
 
 
@@ -149,17 +168,23 @@ def _kernel_cases(rng):
     return cases
 
 
-def test_real_off_diagonal_matches_complex(rng):
-    # Every channel output carries a float off-diagonal, and optimal_povm on
-    # a general state a complex one; the kernel must return exactly the same
-    # for the same entry in either form.
-    def as_complex(s):
-        return s[0], s[1], complex(s[2])
-
-    for w0, w1, s0, s1 in _kernel_cases(rng):
-        assert isinstance(s0[2], float) and isinstance(s1[2], float)
-        want = success_and_traces(w0, w1, as_complex(s0), as_complex(s1))
-        assert success_and_traces(w0, w1, s0, s1) == want, (w0, w1, s0, s1)
+def test_optimal_povm_is_phase_covariant(rng):
+    # D = diag(1, e^{i theta}) on both states changes no success probability,
+    # and the optimal measurement follows it: pi0 becomes D pi0 D^+. The
+    # real kernel sees both pairs rotated to the same real coherence.
+    pairs = [(0.5, KET0, KET1), (0.5, MIXED, MIXED), (0.3, MIXED, KET1)]
+    for _ in range(400):
+        pairs.append((float(rng.random()), random_density(rng), random_density(rng)))
+    for p0, rho0, rho1 in pairs:
+        d = np.diag([1.0, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))])
+        res = optimal_povm(WeightedPair(p0, rho0, rho1))
+        turned = optimal_povm(WeightedPair(p0, d @ rho0 @ d.conj().T, d @ rho1 @ d.conj().T))
+        assert turned.povm.case_tag is res.povm.case_tag
+        assert abs(turned.p_succ - res.p_succ) <= 1e-13
+        assert abs(turned.lambda0 - res.lambda0) <= 1e-13
+        assert abs(turned.lambda1 - res.lambda1) <= 1e-13
+        want = d @ res.povm.pi0 @ d.conj().T
+        np.testing.assert_allclose(turned.povm.pi0, want, rtol=0, atol=1e-13)
 
 
 def _batched(monkeypatch, cases, last):
@@ -231,8 +256,11 @@ def test_success_consistent_with_traces(rng):
         t0, _ = outcome_probs(w.rho0, res.povm)
         t1, u1 = outcome_probs(w.rho1, res.povm)
         assert abs(res.p_succ - (w.p0 * t0 + (1 - w.p0) * u1)) < 1e-12
-        # the kernel's own traces, from complex off-diagonals
-        entries = [(r[0, 0].real, r[1, 1].real, complex(r[0, 1])) for r in (w.rho0, w.rho1)]
+        # the kernel's own traces, at the entries rotated by the phase u
+        # that makes the weighted coherence real
+        dc = w.p0 * w.rho0[0, 1] - (1.0 - w.p0) * w.rho1[0, 1]
+        u = dc.conjugate() / abs(dc)
+        entries = [(r[0, 0].real, r[1, 1].real, (u * r[0, 1]).real) for r in (w.rho0, w.rho1)]
         _, _, k0, k1, *_ = success_and_traces(w.p0, 1.0 - w.p0, *entries)
         assert abs(k0 - t0) < 1e-12 and abs(k1 - t1) < 1e-12
 

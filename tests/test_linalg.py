@@ -53,16 +53,19 @@ def test_phase_convention(rng):
 
 
 def test_jacobi_agrees_with_analytic_2x2(rng):
-    # The closed-form kernel, from the Bloch entries g = tr/2, hd = (app -
-    # aqq)/2 and dc = apq, against the Jacobi oracle: both eigenvalues and
-    # the projector 1/2 [[1 + nz, nx], [conj(nx), 1 - nz]] onto the top
-    # eigenvector; e0 where the eigenvalues coincide.
+    # The closed-form real kernel, from the Bloch entries g = tr/2, hd =
+    # (app - aqq)/2 and dc = |apq|, against the Jacobi oracle: both
+    # eigenvalues and the projector 1/2 [[1 + nz, nx], [conj(nx), 1 - nz]]
+    # onto the top eigenvector, with nx rotated back by the phase of apq;
+    # e0 where the eigenvalues coincide.
     mats = [random_hermitian(rng, 2) for _ in range(20)]
     mats += [np.diag([0.3, -0.7]), np.diag([-0.2, 0.5]), 0.4 * np.eye(2)]
     for h in mats:
         h = np.asarray(h, dtype=complex)
         app, aqq = h[0, 0].real, h[1, 1].real
-        lam0, lam1, nz, nx = eig2_entries(0.5 * (app + aqq), 0.5 * (app - aqq), h[0, 1])
+        c = abs(h[0, 1])
+        lam0, lam1, nz, nx = eig2_entries(0.5 * (app + aqq), 0.5 * (app - aqq), c)
+        nx = nx * (h[0, 1] / c if c else 1.0)
         vals, vecs = jacobi_eigh(h)
         order = np.argsort(-vals)
         np.testing.assert_allclose([lam0, lam1], vals[order], atol=1e-10)
@@ -101,7 +104,7 @@ def test_eigen_reconstruction_property(re, im):
 
 def test_eig2_subnormal_off_diagonal_gives_unit_vectors():
     # Squared moduli of these entries underflow to zero.
-    for g, hd, dc in ((0.0, 1e-322, 1e-162), (0.0, 0.0, 2e-170), (-5e-301, -5e-301, 3e-170j)):
+    for g, hd, dc in ((0.0, 1e-322, 1e-162), (0.0, 0.0, 2e-170), (-5e-301, -5e-301, 3e-170)):
         lam0, lam1, nz, nx = eig2_entries(g, hd, dc)
         assert lam0 >= lam1
-        assert abs(math.hypot(nz, abs(nx)) - 1.0) < 1e-15
+        assert abs(math.hypot(nz, nx) - 1.0) < 1e-15

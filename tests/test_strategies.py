@@ -200,17 +200,13 @@ def test_global_matches_iterative_eigensolver(rng):
         assert abs(eval_global(spec0, spec1, sched).p_succ - p_ref) <= 1e-12
 
 
-@pytest.mark.parametrize("complex_factors", [False, True])
-def test_kron_stack_equals_numpy_kron(rng, complex_factors):
-    # Channel outputs give real factors; complex ones check that the build
-    # keeps a general dtype. General 2x2 entries, so that a transposed
-    # block would show, on a (2, 3) stack of factor lists.
+def test_kron_stack_equals_numpy_kron(rng):
+    # Real factors, as channel outputs give. General 2x2 entries, so that a
+    # transposed block would show, on a (2, 3) stack of factor lists.
     for n in range(1, 9):
         mats = rng.normal(size=(2, 3, n, 2, 2))
-        if complex_factors:
-            mats = mats + 1j * rng.normal(size=mats.shape)
         got = _kron_stack(mats)
-        assert got.dtype == mats.dtype
+        assert got.dtype == np.float64
         for i, j in itertools.product(range(2), range(3)):
             assert np.array_equal(got[i, j], functools.reduce(np.kron, list(mats[i, j])))
 
@@ -298,6 +294,15 @@ def test_posteriors_and_tree_shape(rng):
     evm = eval_markovian(spec0, spec1, sched)
     assert set(evm.povm_tree) == {(1, None), (2, 0), (2, 1), (3, 0), (3, 1)}
     assert all(0.0 <= p <= 1.0 for p in evm.posteriors.values())
+
+
+def test_measurement_trees_are_real(rng):
+    # Channel outputs are real, and so is every measurement built on them.
+    for pair in ALL_PAIRS:
+        sched = InputSchedule.flat(rng.random(3))
+        for name, evaluator in EVALUATORS.items():
+            for povm in evaluator(*pair, sched).povm_tree.values():
+                assert povm.pi0.dtype == povm.pi1.dtype == np.float64, name
 
 
 def test_trees_skip_unreachable_nodes():
