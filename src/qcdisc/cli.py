@@ -22,10 +22,8 @@ from .channels import ChannelFamily
 from .experiments import (
     CURVE_FIELDS,
     SWEEP_FIELDS,
-    SWEEP_SHOTS,
     VALID_STRATEGIES,
     VALID_SUITES,
-    _FEEDFORWARD,
     ConfigError,
     make_config,
     run_curve,
@@ -113,7 +111,7 @@ def _config_from_args(args, needs_points: bool):
     file_cfg = _load_file_config(args.config)
     # The settings given by flag or file: make_config's parameters but those
     # the command's driver does not read, plus the output's. make_config
-    # parses and checks them and holds the defaults, so a null in the file is
+    # parses and checks them and holds the defaults; a null in the file is
     # refused, not defaulted (a null out means stdout).
     other = {"grid"} if needs_points else {"n_max", "points", "strategies"}
     params = inspect.signature(make_config).parameters
@@ -122,6 +120,9 @@ def _config_from_args(args, needs_points: bool):
     if unknown:
         raise ConfigError(f"{args.cmd} reads no config key {', '.join(map(repr, unknown))}; "
                           f"it reads {', '.join(keys)}")
+    nulls = sorted(key for key, value in file_cfg.items() if value is None and key != "out")
+    if nulls:
+        raise ConfigError(f"config keys may not be null: {', '.join(nulls)}")
     given = {key: file_cfg[key] for key in keys if key in file_cfg}
     given.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     if given.get("family") is None:
@@ -133,9 +134,6 @@ def _config_from_args(args, needs_points: bool):
             if eta0 is None or eta1 is None or len(eta0) != len(eta1):
                 raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
             given["points"] = list(zip(eta0, eta1))
-    else:  # echo the strategies and shot count a sweep runs
-        given["strategies"] = [kind.value for kind in _FEEDFORWARD]
-        given["n_max"] = SWEEP_SHOTS
 
     out = given.pop("out", None)
     fmt = given.pop("format", "csv")

@@ -140,8 +140,8 @@ def make_config(
     family,
     points=None,
     grid=None,
-    n_max: int = 1,
-    strategies=VALID_STRATEGIES,
+    n_max=None,
+    strategies=None,
     input_mode: str = "flat",
     value_tol: float = OptimizerConfig.value_tol,
     max_evals: int = OptimizerConfig.max_evals,
@@ -154,7 +154,9 @@ def make_config(
     ``points`` and ``grid`` are in entered units: fractions of the family's
     eta range, which is pi/2 for amplitude damping and 1 otherwise. ``grid``
     may be ``"MIN:MAX:STEPS"`` and ``strategies`` ``"a,b"``, as on the
-    command line.
+    command line. A curve (points) runs n = 1 and every strategy unless told
+    otherwise; a sweep (grid) runs the feedforward strategies at
+    ``SWEEP_SHOTS``, and takes neither setting.
     """
     try:
         family = ChannelFamily(family)
@@ -181,6 +183,9 @@ def make_config(
 
     raw_grid = entered_grid = None
     if grid is not None:
+        if points is not None or n_max is not None or strategies is not None:
+            raise ConfigError("a grid config takes no points, n_max or strategies")
+        n_max, strategies = SWEEP_SHOTS, [kind.value for kind in _FEEDFORWARD]
         try:
             gmin, gmax, steps = grid.split(":") if isinstance(grid, str) else grid
         except (TypeError, ValueError):
@@ -196,7 +201,8 @@ def make_config(
         entered_grid = (gmin, gmax, steps)
         raw_grid = (gmin * hi, gmax * hi, steps)
 
-    n_max = _number(int, n_max, "n_max", 1)
+    n_max = _number(int, 1 if n_max is None else n_max, "n_max", 1)
+    strategies = VALID_STRATEGIES if strategies is None else strategies
     if isinstance(strategies, str):
         strategies = [s.strip() for s in strategies.split(",") if s.strip()]
     try:
@@ -279,18 +285,9 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
     zero point of its layout.
     """
     groups: dict = {}
-    tied = set()  # the strategies warned of below, once each
     for i, (kind, _, _) in enumerate(problems):
         kind = StrategyKind(kind)
         d, mode = _layout(kind, shots, input_mode)
-        if mode != input_mode and kind is not StrategyKind.GLOBAL and kind not in tied:
-            tied.add(kind)
-            print(
-                f"warning: {kind.value} inputs tied per shot for n={shots}: an adaptive "
-                f"schedule has {sum(level_widths(kind, input_mode, shots))} parameters "
-                f"(cap {ADAPTIVE_PARAM_CAP})",
-                file=sys.stderr,
-            )
         # values_objective runs global problems apart from the others.
         groups.setdefault((d, mode, kind is StrategyKind.GLOBAL), []).append(i)
     results = [None] * len(problems)
@@ -325,7 +322,8 @@ def optimize_strategy(
     """Best inputs for one strategy at a fixed shot count.
 
     Returns ``(p_succ, r_values, evaluations)``; in adaptive mode
-    ``r_values`` holds the levels of the schedule concatenated. The
+    ``r_values`` holds the levels of the schedule concatenated, or one value
+    per shot past ``ADAPTIVE_PARAM_CAP`` parameters. The
     depolarizing family is input independent, so it is evaluated once at
     the all-|0> schedule of its layout instead of being optimized.
     """
@@ -340,9 +338,10 @@ def _search_task(payload) -> list[list[tuple]]:
 
     Each count makes one :func:`_optimize` call over the problems, and
     yields one ``(result, wall time of that call)`` per problem, the result
-    None for a problem past its strategy's ``SHOT_CAP``. In flat mode a
-    problem also starts from its best inputs at the count before, extended
-    by 0, 1/2 and 1.
+    None for a problem past its strategy's ``SHOT_CAP``. A problem whose
+    search was flat at the count before also starts from its best inputs
+    there, extended by 0, 1/2 and 1; its search is flat at this count too,
+    as an adaptive layout only grows with the count.
     """
     cfg, problems, counts = payload
     best = [None] * len(problems)
@@ -363,8 +362,8 @@ def _search_task(payload) -> list[list[tuple]]:
         results = [None] * len(problems)
         for j, res in zip(live, found):
             results[j] = res
-            if cfg.input_mode == "flat":
-                best[j] = tuple(float(v) for v in res.best_point)
+            flat = _layout(StrategyKind(problems[j][0]), shots, cfg.input_mode)[1] == "flat"
+            best[j] = tuple(float(v) for v in res.best_point) if flat else None
         out.append([(res, elapsed) for res in results])
     return out
 
@@ -396,15 +395,25 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
     Every (point, strategy) problem at one shot count runs in one lockstep
     search (one per run of problems with ``jobs`` > 1), each problem with
     the seed of its point, and gets the same result as a search of its own.
-    A strategy gets no row past its ``SHOT_CAP``, and one warning per n skipped.
+    A strategy gets no row past its ``SHOT_CAP``, and one warning per n
+    skipped; one warning per strategy and n whose adaptive inputs are tied
+    per shot.
     """
     if not cfg.points:
         raise ConfigError("curve requires at least one (eta0, eta1) point")
     counts = range(1, cfg.n_max + 1)
+    modes = {}  # the schedule mode of each (strategy, n) search
     for kind in cfg.strategies:
         cap = SHOT_CAP[StrategyKind(kind)]
-        for shots in (n for n in counts if n > cap):
-            print(f"warning: {kind} strategy skipped for n={shots} (cap {cap})", file=sys.stderr)
+        for shots in counts:
+            mode = modes[kind, shots] = _layout(StrategyKind(kind), shots, cfg.input_mode)[1]
+            if shots > cap:
+                print(f"warning: {kind} strategy skipped for n={shots} (cap {cap})",
+                      file=sys.stderr)
+            elif mode != cfg.input_mode and kind != StrategyKind.GLOBAL:
+                print(f"warning: {kind} inputs tied per shot for n={shots}: an adaptive "
+                      f"schedule has {sum(level_widths(kind, cfg.input_mode, shots))} "
+                      f"parameters (cap {ADAPTIVE_PARAM_CAP})", file=sys.stderr)
     problems = [
         (kind, point, cfg.seed + 7919 * i)
         for i, point in enumerate(cfg.points)
@@ -418,7 +427,7 @@ def run_curve(cfg: ExperimentConfig) -> list[ResultRow]:
             eta1=e1,
             n=shots,
             strategy=kind,
-            input_mode=_layout(StrategyKind(kind), shots, cfg.input_mode)[1],
+            input_mode=modes[kind, shots],
             p_succ=res.best_value,
             r_values=tuple(float(v) for v in res.best_point),
             evaluations=res.evaluations,

@@ -137,32 +137,27 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     out_evals = np.empty(rows, dtype=int)
     out_conv = np.zeros(rows, dtype=bool)
 
-    def retire(done, converged):
-        """Record the finished rows and drop them from the live state."""
-        nonlocal live, simplex, values, evals, tol, budget
-        rid = live[done]
-        i_best = np.argmin(values[done], axis=1)
-        out_x[rid] = simplex[done, i_best]
-        out_g[rid] = values[done, i_best]
-        out_evals[rid] = evals[done]
-        out_conv[rid] = converged
-        keep = ~done
-        live, simplex, values = live[keep], simplex[keep], values[keep]
-        evals, tol, budget = evals[keep], tol[keep], budget[keep]
-
     while live.size:
-        spent = evals >= budget
-        if spent.any():
-            retire(spent, False)
-            if not live.size:
-                break
         # Each simplex sorted by value: one index of (row, vertex) pairs.
         order = np.arange(len(live))[:, None], np.argsort(values, axis=1, kind="stable")
         values = values[order]
         simplex = simplex[order]
+        # A start ends when it meets its tolerance (converged) or spends its
+        # budget; it records the first of its best vertices, which the stable
+        # sort keeps first, and leaves the live state.
+        spent = evals >= budget
         met = values[:, -1] - values[:, 0] < tol
-        if met.any():
-            retire(met, True)
+        done = met | spent
+        if done.any():
+            rid = live[done]
+            i_best = np.argmin(values[done], axis=1)
+            out_x[rid] = simplex[done, i_best]
+            out_g[rid] = values[done, i_best]
+            out_evals[rid] = evals[done]
+            out_conv[rid] = (met & ~spent)[done]
+            keep = ~done
+            live, simplex, values = live[keep], simplex[keep], values[keep]
+            evals, tol, budget = evals[keep], tol[keep], budget[keep]
             if not live.size:
                 break
         # Summed vertex by vertex: the order np.mean sums a single start's

@@ -20,9 +20,7 @@ feedforward remembers: the Markovian walk merges each level's children by
 last outcome, the Bayesian walk keeps every history. ``*_value`` return the
 walk's success probability, ``eval_*`` the measurement tree built from its
 nodes, and :func:`simulate_protocol` samples from its traces how many trials
-reach each node, at a cost that does not grow with the number of trials
-(seeded frequencies differ from earlier versions, which sampled trial by
-trial).
+reach each node, at a cost that does not grow with the number of trials.
 :func:`values_objective` builds the function that computes the success
 probability of many schedules, channel pairs and strategies at once, level
 by level; the input optimizer calls it with the shot count, and it checks
@@ -516,8 +514,7 @@ def simulate_protocol(
     leaves as a walk trial by trial (Devroye, *Non-Uniform Random Variate
     Generation*, 1986, ch. XI), so the frequency has the same distribution,
     at a cost that grows with the nodes of the tree and not with
-    ``trials``. Deterministic for a fixed seed; seeded frequencies differ
-    from earlier versions, which sampled trial by trial.
+    ``trials``. Deterministic for a fixed seed.
     """
     try:
         trials = operator.index(trials)  # a float would be truncated by the draws

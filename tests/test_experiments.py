@@ -213,6 +213,26 @@ def test_curve_adaptive_fallback_warns_once_per_strategy(monkeypatch, capsys):
     assert err.count("markovian inputs tied per shot for n=2") == 1
 
 
+def test_curve_tied_inputs_warn_once_with_two_jobs(capfd):
+    # The warning comes from the run, not from each worker's search.
+    argv = ["curve", "--family", "bit-flip", "--eta0", "0.75", "--eta1", "0.4", "--eta0", "0.95",
+            "--eta1", "0.6", "--n-max", "7", "--strategies", "bayesian", "--input-mode",
+            "adaptive", "--max-evals", "30", "--max-starts", "3", "--jobs", "2"]
+    assert main(argv) == 0
+    assert capfd.readouterr().err.count("inputs tied per shot") == 1
+
+
+def test_curve_global_rows_do_not_depend_on_the_input_mode():
+    # The global search is flat in every config, warm starts included.
+    rows = {}
+    for mode, strategies in (("flat", "global"), ("adaptive", "global,bayesian,markovian")):
+        cfg = make_config("amplitude-damping", points=[(0.75, 0.4)], n_max=3,
+                          strategies=strategies, input_mode=mode)
+        rows[mode] = [dataclasses.replace(row, wall_time_s=0.0)
+                      for row in run_curve(cfg) if row.strategy == "global"]
+    assert rows["flat"] == rows["adaptive"]
+
+
 def test_curve_adaptive_fallback_prints_flat(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "ADAPTIVE_PARAM_CAP", 2)
     cfg = make_config("bit-flip", points=[(0.75, 0.4)], n_max=2, strategies=("bayesian",),
@@ -361,6 +381,26 @@ def test_cli_sweep_header_echoes_the_strategies_it_runs(capsys):
     assert echo["n_max"] == SWEEP_SHOTS == 3
 
 
+def test_library_sweep_echoes_the_cli_config_line(capsys):
+    # make_config resolves what a sweep runs, so a library config echoes the
+    # same line as the command.
+    assert main(["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--jobs", "1"]) == 0
+    cli_line = capsys.readouterr().out.splitlines()[1]
+    buf = io.StringIO()
+    write_records_csv([], SWEEP_FIELDS, make_config("bit-flip", grid="0:1:3").as_dict(), buf)
+    assert buf.getvalue().splitlines()[1] == cli_line
+
+
+@pytest.mark.parametrize("setting", [
+    {"points": [(0.5, 0.1)]},
+    {"n_max": 3},
+    {"strategies": "bayesian,markovian"},
+])
+def test_grid_config_takes_no_points_shots_or_strategies(setting):
+    with pytest.raises(ConfigError, match="a grid config takes no"):
+        make_config("bit-flip", grid=(0.0, 1.0, 3), **setting)
+
+
 def test_sweep_parallel_matches_serial():
     cfg1 = make_config("bit-flip", grid=(0.1, 0.9, 4), seed=2, jobs=1)
     cfg2 = make_config("bit-flip", grid=(0.1, 0.9, 4), seed=2, jobs=2)
@@ -447,7 +487,8 @@ def test_curve_parallel_matches_serial():
 def test_curve_rows_equal_per_problem_searches(family, input_mode):
     # One lockstep search per shot count over every (point, strategy) gives
     # each row what a search of its own gives, with the seed of its point
-    # and, in flat mode, the warm starts from its row at n - 1.
+    # and, where its rows at n - 1 and n are flat, the warm starts from its
+    # row at n - 1.
     cfg = make_config(family, points=[(0.75, 0.4), (0.95, 0.6)], n_max=3,
                       input_mode=input_mode, seed=6)
     rows = run_curve(cfg)
@@ -457,7 +498,7 @@ def test_curve_rows_equal_per_problem_searches(family, input_mode):
         i = cfg.points.index((row.eta0, row.eta1))
         prev = before.get((i, row.strategy))
         extra = ()
-        if input_mode == "flat" and prev is not None:
+        if prev is not None and prev.input_mode == row.input_mode == "flat":
             extra = tuple(prev.r_values + (v,) for v in (0.0, 0.5, 1.0))
         opt_cfg = OptimizerConfig(seed=cfg.seed + 7919 * i, extra_starts=extra)
         specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
