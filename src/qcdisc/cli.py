@@ -35,6 +35,7 @@ from .experiments import (
 from .strategies import ScheduleMode
 
 _WRITERS = {"csv": write_records_csv, "json": write_records_json}
+_DRIVERS = {"curve": (run_curve, CURVE_FIELDS), "sweep-diff": (run_sweep_diff, SWEEP_FIELDS)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,15 +165,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "curve":
-            cfg, writer, out = _config_from_args(args, needs_points=True)
-            rows = run_curve(cfg)
-            _emit(rows, CURVE_FIELDS, cfg, writer, out)
-            return 0
-        if args.cmd == "sweep-diff":
-            cfg, writer, out = _config_from_args(args, needs_points=False)
-            rows = run_sweep_diff(cfg)
-            _emit(rows, SWEEP_FIELDS, cfg, writer, out)
+        if args.cmd in _DRIVERS:
+            run, fields = _DRIVERS[args.cmd]
+            cfg, writer, out = _config_from_args(args, needs_points=args.cmd == "curve")
+            _emit(run(cfg), fields, cfg, writer, out)
             return 0
         checks = run_validate(args.suite, args.seed)
         failed = 0

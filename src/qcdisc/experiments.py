@@ -551,19 +551,12 @@ def _random_spec_pair(rng, family: ChannelFamily):
 def _suite_oneshot(seed: int) -> list[CheckResult]:
     checks = []
     for family in ChannelFamily:
-        hi = ETA_MAX[family]
-        axis = np.linspace(0.0, hi, 12)
-        worst = 0.0
-        for e0 in axis:
-            for e1 in axis:
-                if e0 <= e1:
-                    continue
-                spec0 = ChannelSpec(family, float(e0))
-                spec1 = ChannelSpec(family, float(e1))
-                p, _, _ = optimize_strategy(
-                    "markovian", spec0, spec1, 1, "flat", OptimizerConfig(seed=seed)
-                )
-                worst = max(worst, abs(p - closed_form_one_shot(family, e0, e1)))
+        axis = np.linspace(0.0, ETA_MAX[family], 12)
+        cells = [(float(e0), float(e1)) for e0 in axis for e1 in axis if e0 > e1]
+        found = _optimize([("markovian", cell, OptimizerConfig(seed=seed)) for cell in cells],
+                          family, 1, "flat")
+        worst = max(abs(res.best_value - closed_form_one_shot(family, *cell))
+                    for cell, res in zip(cells, found))
         checks.append(CheckResult(f"oneshot/{family.value}", worst, 1e-6))
     return checks
 
@@ -624,11 +617,11 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
 
 
 def _suite_monte_carlo(seed: int) -> list[CheckResult]:
-    """Nine sampled frequencies against their exact values, each within 3
-    sigma. Each check misses by chance about 0.27 % of the time, so a
-    correct program fails the suite at some seeds: of seeds 0-299, at 100,
-    106, 109, 127, 192, 241 and 277."""
-    trials = 20000
+    """Nine sampled frequencies against their exact values, each within 4.5
+    sigma at 10^6 trials; the simulator's cost does not grow with trials."""
+    # Each check misses by chance with probability 6.8e-6, so a correct
+    # program fails the suite in at most 9 x 6.8e-6 = 6.1e-5 of runs.
+    trials, sigmas = 10**6, 4.5
     checks = []
     sched = InputSchedule.flat([0.3, 0.7, 0.5])
     for family in ChannelFamily:
@@ -639,7 +632,7 @@ def _suite_monte_carlo(seed: int) -> list[CheckResult]:
             freq = simulate_protocol(kind, spec0, spec1, sched, trials, seed)
             sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
             checks.append(
-                CheckResult(f"monte-carlo/{family.value}/{kind}", abs(freq - p), 3.0 * sigma)
+                CheckResult(f"monte-carlo/{family.value}/{kind}", abs(freq - p), sigmas * sigma)
             )
     return checks
 

@@ -85,7 +85,9 @@ def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
         pts = np.vstack([fixed, _latin_hypercube(rng, cfg.max_starts - 3, d)])
     if cfg.extra_starts:
         extra = _box(np.asarray(cfg.extra_starts, dtype=float))
-        pts = np.vstack([pts, extra.reshape(-1, d)])
+        if extra.ndim != 2 or extra.shape[1] != d:
+            raise ValueError(f"extra_starts must have shape (m, {d}), got {extra.shape}")
+        pts = np.vstack([pts, extra])
     return pts
 
 

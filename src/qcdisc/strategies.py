@@ -29,6 +29,15 @@ that every row it scores has the width that count lays out.
 :func:`level_widths` is the one description of how many input values each
 shot gets, the only difference between the two feedforward schedules.
 
+On a shared schedule, these orders are theorems: G >= B and G >= M on a
+flat schedule, the collective Helstrom measurement being optimal; B = M up
+to 2 shots; B >= M at 3 shots, on a flat schedule or an adaptive Markovian
+one relabelled as Bayesian (level-3 node i takes the value of last outcome
+i mod 2), as the last shot's merge of two histories obeys S(a) + S(b) >=
+S(a + b) for the one-shot success on unnormalized weights. From 4 shots on,
+B < M can occur: bit-flip (0.75, 0.4) at r = (0.9, 0.9, 1, 1) gives
+B 0.688867 < M 0.726296 < G 0.759795.
+
 The feedforward values are continuous across the exact ties of the one-shot
 rule (see :mod:`helstrom`), but not where a node's lam0 changes sign off a
 tie: on one side the node measures and informs later shots, on the other

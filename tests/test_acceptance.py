@@ -173,6 +173,8 @@ def test_criterion_5_figure_shape_reproduction():
             pg = values[(family, e0, "global", n)]
             pb = values[(family, e0, "bayesian", n)]
             pm = values[(family, e0, "markovian", n)]
+            # From 4 shots on, pb >= pm describes the optima found, not a
+            # theorem: B < M can occur on a shared schedule (strategies.py).
             if not (pg >= pb - 1e-6 and pb >= pm - 1e-6):
                 problems.append(f"ordering {family.value} eta0={e0:.3f} n={n}")
             for p in (pg, pb, pm):

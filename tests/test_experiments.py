@@ -15,7 +15,7 @@ import qcdisc.cli as cli
 import qcdisc.experiments as experiments
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec
 from qcdisc.cli import main
-from qcdisc.optimizer import OptimizerConfig, maximize_batch
+from qcdisc.optimizer import OptimizerConfig, maximize, maximize_batch
 from qcdisc.strategies import (
     SHOT_CAP,
     InputSchedule,
@@ -521,6 +521,19 @@ def test_optimize_strategy_value_attained(family, kind, input_mode):
     assert abs(p - strategy_value(kind, spec0, spec1, sched)) <= 1e-14
 
 
+def test_warm_starts_of_another_width_are_refused():
+    # A start of width 2d used to be read as two starts, one of width d + 1
+    # failed in numpy's reshape.
+    specs = ChannelSpec("bit-flip", 0.7), ChannelSpec("bit-flip", 0.3)
+    for width in (3, 4):
+        cfg = OptimizerConfig(extra_starts=((0.5,) * width,))
+        refusal = rf"^extra_starts must have shape \(m, 2\), got \(1, {width}\)$"
+        with pytest.raises(ValueError, match=refusal):
+            maximize(lambda x: -float(np.sum(x)), 2, cfg)
+        with pytest.raises(ValueError, match=refusal):
+            optimize_strategy("markovian", *specs, 2, "flat", cfg)
+
+
 def test_angle_map_ends_and_round_trips():
     assert experiments._to_r(0.0) == 0.0 and experiments._to_r(1.0) == 1.0
     assert experiments._to_x(0.0) == 0.0 and experiments._to_x(1.0) == 1.0
@@ -669,6 +682,44 @@ def test_validate_reductions_pass():
 def test_validate_povm_properties_pass():
     checks = run_validate("povm-properties", seed=0)
     assert checks and all(c.passed for c in checks)
+
+
+def test_validate_oneshot_equals_per_cell_searches():
+    # One lockstep search per family gives each cell the result of its own.
+    for seed in (0, 3):
+        checks = run_validate("oneshot-closed-forms", seed)
+        assert [c.name for c in checks] == [f"oneshot/{f.value}" for f in ChannelFamily]
+        for family, check in zip(ChannelFamily, checks):
+            axis = np.linspace(0.0, ETA_MAX[family], 12)
+            worst = 0.0
+            for e0 in axis:
+                for e1 in axis[axis < e0]:
+                    specs = ChannelSpec(family, float(e0)), ChannelSpec(family, float(e1))
+                    cfg = OptimizerConfig(seed=seed)
+                    p = optimize_strategy("markovian", *specs, 1, "flat", cfg)[0]
+                    worst = max(worst, abs(p - closed_form_one_shot(family, e0, e1)))
+            assert check.deviation == worst
+            assert check.passed
+
+
+def test_validate_monte_carlo_passes_at_a_former_chance_failure():
+    # Seed 100 failed one 3-sigma check at 2e4 trials.
+    checks = run_validate("monte-carlo", 100)
+    assert len(checks) == 9 and all(c.passed for c in checks)
+
+
+def test_validate_monte_carlo_catches_a_wrong_tree(monkeypatch):
+    # A tree 0.005 off in one family and strategy: inside the old bound
+    # (3 sigma at 2e4 trials, 0.0092 at p = 0.75), outside the new one.
+    exact = experiments.strategy_value
+
+    def wrong(kind, spec0, spec1, sched):
+        p = exact(kind, spec0, spec1, sched)
+        return p + 0.005 if (kind, spec0.family) == ("bayesian", ChannelFamily.BIT_FLIP) else p
+
+    monkeypatch.setattr(experiments, "strategy_value", wrong)
+    failed = [c.name for c in run_validate("monte-carlo", 0) if not c.passed]
+    assert failed == ["monte-carlo/bit-flip/bayesian"]
 
 
 def test_validate_unknown_suite():

@@ -228,6 +228,35 @@ def test_strategy_ordering_same_schedule(rng):
         assert pb >= pm - 1e-9
 
 
+def test_three_shot_bayesian_at_least_markovian(rng):
+    # Shots 1 and 2 of the two walks are the same; at shot 3 a Markovian node
+    # merges two Bayesian histories, and the one-shot success on unnormalized
+    # weights has S(a) + S(b) >= S(a + b). So B >= M on a shared flat
+    # schedule, and on an adaptive Markovian schedule relabelled as a
+    # Bayesian one: level-3 node i takes the value of last outcome i mod 2.
+    worst = -1.0
+    for i in range(900):
+        pair = random_spec_pair(rng, FAMILIES[i % 3])
+        r = np.where(rng.random(5) < 0.3, rng.integers(0, 2, 5), rng.random(5))
+        flat = InputSchedule.flat(r[:3])
+        markov = InputSchedule.adaptive([r[:1], r[1:3], r[3:5]])
+        bayes = InputSchedule.adaptive([r[:1], r[1:3], np.tile(r[3:5], 2)])
+        worst = max(worst, markovian_value(*pair, flat) - bayesian_value(*pair, flat),
+                    markovian_value(*pair, markov) - bayesian_value(*pair, bayes))
+    assert worst <= 1e-12
+
+
+def test_four_shot_markovian_can_beat_bayesian():
+    # From 4 shots on, the greedy Bayesian rule can lose to the Markovian one
+    # on a shared schedule: B >= M is a theorem only up to 3 shots.
+    sched = InputSchedule.flat([0.9, 0.9, 1.0, 1.0])
+    pb, pm, pg = (strategy_value(kind, *BF, sched) for kind in ("bayesian", "markovian", "global"))
+    assert abs(pb - 0.6888666202500877) <= 1e-12
+    assert abs(pm - 0.7262959568156523) <= 1e-12
+    assert abs(pg - 0.7597947810376559) <= 1e-12
+    assert pb < pm < pg
+
+
 def test_bayesian_continuous_at_box_edge():
     # r = 1 makes the outputs diagonal and the one-shot rule meets exact
     # ties; the value there must be the limit from inside the box, and stay

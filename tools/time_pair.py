@@ -91,7 +91,7 @@ def _walk_entries(packages, plan, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
 
     def draw(kind, mode, n):
-        widths = [2**k if kind == "bayesian" else min(2**k, 2) for k in range(n)]
+        widths = packages[0].strategies.level_widths(kind, mode, n)
         return [rng.uniform(0.05, 0.95, n) if mode == "flat"
                 else [rng.uniform(0.05, 0.95, w) for w in widths] for _ in FAMILIES]
 
