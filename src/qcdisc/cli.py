@@ -36,6 +36,32 @@ from .strategies import ScheduleMode
 
 _WRITERS = {"csv": write_records_csv, "json": write_records_json}
 _DRIVERS = {"curve": (run_curve, CURVE_FIELDS), "sweep-diff": (run_sweep_diff, SWEEP_FIELDS)}
+# One help line per setting, naming the values it takes. A flag's text goes
+# to make_config as a config file's value does, which parses and checks it.
+_HELP = {
+    "eta0": "noise parameter of channel 0; repeat for several points",
+    "eta1": "noise parameter of channel 1, paired with --eta0 in order",
+    "family": f"channel family: {', '.join(family.value for family in ChannelFamily)}",
+    "grid": "MIN:MAX:STEPS eta grid for both axes",
+    "n_max": "largest shot count, an integer >= 1",
+    "strategies": f"comma-separated subset of {','.join(VALID_STRATEGIES)}",
+    "input_mode": " or ".join(mode.value for mode in ScheduleMode),
+    "value_tol": "a start stops below this value spread; positive and finite",
+    "max_evals": "evaluations per start, an integer >= 1",
+    "max_starts": "starts per search, an integer >= 3",
+    "seed": "seed of the random starts, an integer >= 0",
+    "jobs": "worker processes, an integer >= 1",
+    "out": "output path; stdout when omitted",
+    "format": " or ".join(_WRITERS),
+}
+
+
+def _settings(cmd: str) -> list[str]:
+    """The settings ``cmd`` takes by flag or config key: make_config's
+    parameters but those of the other command, plus the output's."""
+    other = {"grid"} if cmd == "curve" else {"n_max", "points", "strategies"}
+    params = inspect.signature(make_config).parameters
+    return [key for key in params if key not in other] + ["out", "format"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,50 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qcdisc {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_shared(p, needs_points: bool):
+    for cmd, help_text in (("curve", "success probability vs shot count"),
+                           ("sweep-diff", "Bayesian minus Markovian success over an eta grid")):
+        p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--family", choices=[family.value for family in ChannelFamily])
-        if needs_points:
-            p.add_argument(
-                "--eta0",
-                action="append",
-                type=float,
-                help="noise parameter of channel 0; repeat for several points",
-            )
-            p.add_argument(
-                "--eta1",
-                action="append",
-                type=float,
-                help="noise parameter of channel 1, paired with --eta0 in order",
-            )
-            p.add_argument("--n-max", type=int)
-            p.add_argument(
-                "--strategies",
-                help=f"comma-separated subset of {','.join(VALID_STRATEGIES)}",
-            )
-        else:
-            p.add_argument("--grid", help="MIN:MAX:STEPS eta grid for both axes")
-        p.add_argument("--input-mode", choices=[mode.value for mode in ScheduleMode])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--value-tol", type=float)
-        p.add_argument("--max-evals", type=int)
-        p.add_argument("--max-starts", type=int)
-        p.add_argument("--out", help="output path; stdout when omitted")
-        p.add_argument("--format", choices=list(_WRITERS))
-
-    curve = sub.add_parser("curve", help="success probability vs shot count")
-    add_shared(curve, needs_points=True)
-
-    sweep = sub.add_parser(
-        "sweep-diff", help="Bayesian minus Markovian success over an eta grid"
-    )
-    add_shared(sweep, needs_points=False)
+        for key in _settings(cmd):  # the points come in --eta0/--eta1 pairs
+            for flag in ("eta0", "eta1") if key == "points" else (key,):
+                p.add_argument("--" + flag.replace("_", "-"), help=_HELP[flag],
+                               action="append" if key == "points" else None)
 
     validate = sub.add_parser("validate", help="run a self-check suite")
     validate.add_argument("suite", help=f"one of {', '.join(VALID_SUITES)}")
-    validate.add_argument("--seed", type=int, default=0)
+    validate.add_argument("--seed", default=0, help="seed of the suite's draws, an integer >= 0")
 
     return parser
 
@@ -108,15 +102,11 @@ def _load_file_config(path: str | None) -> dict:
     return data
 
 
-def _config_from_args(args, needs_points: bool):
+def _config_from_args(args):
     file_cfg = _load_file_config(args.config)
-    # The settings given by flag or file: make_config's parameters but those
-    # the command's driver does not read, plus the output's. make_config
-    # parses and checks them and holds the defaults; a null in the file is
-    # refused, not defaulted (a null out means stdout).
-    other = {"grid"} if needs_points else {"n_max", "points", "strategies"}
-    params = inspect.signature(make_config).parameters
-    keys = [key for key in params if key not in other] + ["out", "format"]
+    # make_config parses and checks the settings and holds the defaults; a
+    # null in the file is refused, not defaulted (a null out means stdout).
+    keys = _settings(args.cmd)
     unknown = sorted(set(file_cfg) - set(keys))
     if unknown:
         raise ConfigError(f"{args.cmd} reads no config key {', '.join(map(repr, unknown))}; "
@@ -128,13 +118,10 @@ def _config_from_args(args, needs_points: bool):
     given.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     if given.get("family") is None:
         raise ConfigError("a channel family is required (--family or config file)")
-    if needs_points:
-        eta0 = getattr(args, "eta0", None)
-        eta1 = getattr(args, "eta1", None)
-        if eta0 is not None or eta1 is not None:
-            if eta0 is None or eta1 is None or len(eta0) != len(eta1):
-                raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
-            given["points"] = list(zip(eta0, eta1))
+    if "points" in keys and (args.eta0 is not None or args.eta1 is not None):
+        if args.eta0 is None or args.eta1 is None or len(args.eta0) != len(args.eta1):
+            raise ConfigError("--eta0 and --eta1 must be given in matching pairs")
+        given["points"] = list(zip(args.eta0, args.eta1))
 
     out = given.pop("out", None)
     fmt = given.pop("format", "csv")
@@ -167,7 +154,7 @@ def main(argv=None) -> int:
     try:
         if args.cmd in _DRIVERS:
             run, fields = _DRIVERS[args.cmd]
-            cfg, writer, out = _config_from_args(args, needs_points=args.cmd == "curve")
+            cfg, writer, out = _config_from_args(args)
             _emit(run(cfg), fields, cfg, writer, out)
             return 0
         checks = run_validate(args.suite, args.seed)

@@ -161,7 +161,8 @@ def make_config(
     try:
         family = ChannelFamily(family)
     except ValueError:
-        raise ConfigError(f"unknown family {family!r}") from None
+        families = ", ".join(family.value for family in ChannelFamily)
+        raise ConfigError(f"unknown family {family!r}; choose from {families}") from None
     hi = ETA_MAX[family]
 
     try:
@@ -280,9 +281,10 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
     angle x with r = sin^2(pi x / 2): every value is even in the angle about
     both ends of the box, so an optimum at r = 0 or 1, where values move
     like sqrt(r) or sqrt(1 - r), is a smooth stationary point in x. Warm
-    starts (``extra_starts``) are given in r. The depolarizing family is
-    input independent, so each objective is evaluated once instead, at the
-    zero point of its layout.
+    starts (``extra_starts``) are given in r, and a start of another width
+    than its layout's is refused for every family. The depolarizing family
+    is input independent, so each objective is evaluated once instead, at
+    the zero point of its layout.
     """
     groups: dict = {}
     for i, (kind, _, _) in enumerate(problems):
@@ -296,6 +298,8 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
         objective = values_objective(
             kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], shots, mode
         )
+        for cfg in cfgs:  # refused alike by every family
+            cfg.check_width(d)
         if family is ChannelFamily.DEPOLARIZING:
             values = objective(np.arange(len(members)), np.zeros((len(members), d)))
             found = [OptResult(np.zeros(d), float(v), 1, True) for v in values]
@@ -607,12 +611,26 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
         ref = strategy_value("global", *pair, sched)
         for kind in _FEEDFORWARD:
             worst_pure = max(worst_pure, abs(strategy_value(kind, *pair, sched) - ref))
+    # Bayesian >= Markovian at 3 shots, on flat schedules and on adaptive
+    # Markovian ones relabelled as Bayesian (see the strategies docstring).
+    worst_three = 0.0
+    for i in range(30):
+        pair = _random_spec_pair(rng, list(ChannelFamily)[i % 3])
+        r = np.where(rng.random(5) < 0.3, rng.integers(0, 2, 5), rng.random(5))
+        for markov, bayes in (
+            (InputSchedule.flat(r[:3]),) * 2,
+            (InputSchedule.adaptive([r[:1], r[1:3], r[3:]]),
+             InputSchedule.adaptive([r[:1], r[1:3], np.tile(r[3:], 2)])),
+        ):
+            gap = strategy_value("markovian", *pair, markov)
+            worst_three = max(worst_three, gap - strategy_value("bayesian", *pair, bayes))
     return [
         CheckResult("reductions/one-shot", worst_one, 1e-12),
         CheckResult("reductions/two-shot-bayes-markov", worst_two, 1e-12),
         CheckResult("reductions/bayesian-below-global", worst_order, 1e-12),
         CheckResult("reductions/box-edge-ties", worst_edge, 1e-6),
         CheckResult("reductions/pure-outputs", worst_pure, 1e-12),
+        CheckResult("reductions/three-shot-bayesian-above-markovian", worst_three, 1e-12),
     ]
 
 

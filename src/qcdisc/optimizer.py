@@ -29,8 +29,8 @@ class OptimizerConfig:
 
     ``value_tol`` stops a start once the simplex value spread falls below
     it; ``max_evals`` is the per-start evaluation budget. ``extra_starts``
-    are additional seed points (e.g. warm starts from a related problem)
-    appended to the generated ones.
+    are additional seed points (e.g. warm starts from a related problem),
+    an (m, d) array appended to the generated ones.
     """
 
     value_tol: float = 1e-9
@@ -51,6 +51,18 @@ class OptimizerConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {limit}, got {getattr(self, name)!r}")
+        try:
+            got = np.shape(self.extra_starts)
+        except ValueError:  # ragged rows, of which numpy names no shape
+            got = f"rows of shapes {tuple(np.shape(start) for start in self.extra_starts)}"
+        if len(self.extra_starts) and not (isinstance(got, tuple) and len(got) == 2):
+            raise ValueError(f"extra_starts must be an (m, d) array, got {got}")
+
+    def check_width(self, d: int) -> None:
+        """Refuse warm starts of another width than the ``d`` of the search."""
+        shape = np.shape(self.extra_starts)
+        if len(self.extra_starts) and shape[1] != d:
+            raise ValueError(f"extra_starts must have shape (m, {d}), got {shape}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +95,9 @@ def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
         fixed = np.array([[0.0] * d, [0.5] * d, [1.0] * d])
         rng = np.random.default_rng(cfg.seed)
         pts = np.vstack([fixed, _latin_hypercube(rng, cfg.max_starts - 3, d)])
-    if cfg.extra_starts:
-        extra = _box(np.asarray(cfg.extra_starts, dtype=float))
-        if extra.ndim != 2 or extra.shape[1] != d:
-            raise ValueError(f"extra_starts must have shape (m, {d}), got {extra.shape}")
-        pts = np.vstack([pts, extra])
+    cfg.check_width(d)
+    if len(cfg.extra_starts):
+        pts = np.vstack([pts, _box(np.asarray(cfg.extra_starts, dtype=float))])
     return pts
 
 

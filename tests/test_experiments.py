@@ -523,15 +523,30 @@ def test_optimize_strategy_value_attained(family, kind, input_mode):
 
 def test_warm_starts_of_another_width_are_refused():
     # A start of width 2d used to be read as two starts, one of width d + 1
-    # failed in numpy's reshape.
-    specs = ChannelSpec("bit-flip", 0.7), ChannelSpec("bit-flip", 0.3)
+    # failed in numpy's reshape. The depolarizing family runs no search, and
+    # refuses them alike.
     for width in (3, 4):
         cfg = OptimizerConfig(extra_starts=((0.5,) * width,))
         refusal = rf"^extra_starts must have shape \(m, 2\), got \(1, {width}\)$"
         with pytest.raises(ValueError, match=refusal):
             maximize(lambda x: -float(np.sum(x)), 2, cfg)
-        with pytest.raises(ValueError, match=refusal):
-            optimize_strategy("markovian", *specs, 2, "flat", cfg)
+        for family in ("bit-flip", "depolarizing"):
+            specs = ChannelSpec(family, 0.7), ChannelSpec(family, 0.3)
+            with pytest.raises(ValueError, match=refusal):
+                optimize_strategy("markovian", *specs, 2, "flat", cfg)
+
+
+@pytest.mark.parametrize("starts,got", [
+    (((0.5, 0.5), (0.5,)), "rows of shapes ((2,), (1,))"),
+    ((0.5, 0.5), "(2,)"),
+    ((((0.5, 0.5),),), "(1, 1, 2)"),
+])
+def test_warm_starts_that_are_no_array_are_refused_by_the_config(starts, got):
+    # A ragged start list used to fail in numpy's conversion, naming no
+    # shape, and the depolarizing family took it silently.
+    with pytest.raises(ValueError) as info:
+        OptimizerConfig(extra_starts=starts)
+    assert str(info.value) == f"extra_starts must be an (m, d) array, got {got}"
 
 
 def test_angle_map_ends_and_round_trips():
@@ -677,6 +692,20 @@ def test_validate_reductions_pass():
     checks = run_validate("strategy-reductions", seed=0)
     assert checks and all(c.passed for c in checks)
     assert "reductions/pure-outputs" in {c.name for c in checks}
+
+
+def test_validate_reductions_catch_a_bayesian_below_markovian(monkeypatch):
+    # A Bayesian walk 1e-9 low on adaptive schedules: only the 3-shot order
+    # check uses them.
+    exact = experiments.strategy_value
+
+    def wrong(kind, spec0, spec1, sched):
+        p = exact(kind, spec0, spec1, sched)
+        return p - 1e-9 if kind == "bayesian" and sched.mode == "adaptive" else p
+
+    monkeypatch.setattr(experiments, "strategy_value", wrong)
+    failed = [c.name for c in run_validate("strategy-reductions", 0) if not c.passed]
+    assert failed == ["reductions/three-shot-bayesian-above-markovian"]
 
 
 def test_validate_povm_properties_pass():
@@ -893,6 +922,41 @@ def test_cli_validate_exit_codes():
     proc = run_cli("validate", "monte-carlo", "--seed", "-1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["curve", "sweep-diff"])
+def test_cli_flags_are_the_config_keys(tmp_path, capsys, cmd):
+    # The keys a config file may hold, as the refusal of an unknown one lists
+    # them, and the flags' destinations: one list, with the points given as
+    # --eta0/--eta1 pairs.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "bit-flip", "no_such_key": 1}))
+    assert main([cmd, "--config", str(cfg_file)]) == 2
+    keys = capsys.readouterr().err.strip().split("; it reads ")[1].split(", ")
+    dests = set(vars(cli.build_parser().parse_args([cmd]))) - {"cmd", "config"}
+    if "points" in keys:
+        dests = dests - {"eta0", "eta1"} | {"points"}
+    assert len(keys) == len(set(keys)) and set(keys) == dests
+
+
+_POINT = ["--eta0", "0.7", "--eta1", "0.3"]
+
+
+@pytest.mark.parametrize("argv,setting", [
+    (["curve", "--family", "bit-flip", *_POINT, "--seed", "1.5"], "seed"),
+    (["curve", "--family", "nope", *_POINT], "family"),
+    (["curve", "--family", "bit-flip", *_POINT, "--input-mode", "sideways"], "input_mode"),
+    (["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--format", "xml"], "format"),
+    (["curve", "--family", "bit-flip", "--eta0", "x", "--eta1", "0.3"], "eta0"),
+    (["validate", "monte-carlo", "--seed", "x"], "seed"),
+])
+def test_cli_bad_flag_values_return_2(capsys, argv, setting):
+    # A flag's text is parsed by make_config or run_validate, as a config
+    # file's value is: main returns 2 with one error line instead of
+    # argparse raising SystemExit.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and setting in err
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
