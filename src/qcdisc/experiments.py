@@ -86,11 +86,6 @@ class ExperimentConfig:
     seed: int
     jobs: int
 
-    def as_dict(self) -> dict:
-        """The config as JSON writes it: tuples as arrays, the family as its
-        value."""
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -113,11 +108,6 @@ class SweepRow:
     p_bayes: float
     p_markov: float
     diff: float
-
-
-# The columns of the output files, in order: the fields of the row classes.
-CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
-SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def _number(kind, value, name: str, low=None):
@@ -702,12 +692,6 @@ def run_validate(suite: str, seed: int = 0) -> list[CheckResult]:
 # serialization
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
-
-
 def _sig15(value: float) -> float:
     return float(f"{value:.15g}")
 
@@ -724,24 +708,28 @@ def _row_record(row) -> dict:
     return rec
 
 
-def write_records_csv(rows, fields, cfg_dict: dict, fh) -> None:
-    """CSV with '#' comment lines carrying the tool version and config."""
-    fh.write(f"# {TOOL}\n")
-    fh.write(f"# config: {json.dumps(cfg_dict, sort_keys=True)}\n")
-    fh.write(",".join(fields) + "\n")
-    for row in rows:
-        rec = _row_record(row)
-        cells = []
-        for key in fields:
-            value = rec[key]
-            if isinstance(value, list):
-                cells.append(";".join(_fmt(v) for v in value))
-            else:
-                cells.append(_fmt(value))
-        fh.write(",".join(cells) + "\n")
+def _cell(value) -> str:
+    """A CSV cell: floats to 15 significant digits, a tuple's joined by ';'.
+    A decimal of 15 digits survives binary64, so these are the digits
+    :func:`_row_record` keeps for JSON."""
+    if isinstance(value, tuple):
+        return ";".join(f"{v:.15g}" for v in value)
+    return f"{value:.15g}" if isinstance(value, float) else str(value)
 
 
-def write_records_json(rows, fields, cfg_dict: dict, fh) -> None:
+def write_records_csv(rows, cfg_dict: dict, fh) -> None:
+    """CSV with '#' comment lines carrying the tool version and config, then
+    a header of the rows' fields, unless there are no rows, and one line per
+    row."""
+    fh.write(f"# {TOOL}\n# config: {json.dumps(cfg_dict, sort_keys=True)}\n")
+    if rows:
+        fields = [f.name for f in dataclasses.fields(rows[0])]
+        fh.write(",".join(fields) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(getattr(row, key)) for key in fields) + "\n")
+
+
+def write_records_json(rows, cfg_dict: dict, fh) -> None:
     payload = {
         "tool": TOOL,
         "config": cfg_dict,

@@ -84,6 +84,8 @@ class WeightedPair:
             rho = np.asarray(getattr(self, name))
             if rho.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {rho.shape}")
+            if not np.isfinite(rho).all():
+                raise ValueError(f"{name} must have finite entries, got {rho.tolist()}")
             if np.abs(rho - rho.conj().T).max() > _STATE_TOL:
                 raise ValueError(f"{name} must be Hermitian")
             if abs(np.trace(rho) - 1.0) > _STATE_TOL:

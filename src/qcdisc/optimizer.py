@@ -30,7 +30,7 @@ class OptimizerConfig:
     ``value_tol`` stops a start once the simplex value spread falls below
     it; ``max_evals`` is the per-start evaluation budget. ``extra_starts``
     are additional seed points (e.g. warm starts from a related problem),
-    an (m, d) array appended to the generated ones.
+    an (m, d) array of points of the unit box appended to the generated ones.
     """
 
     value_tol: float = 1e-9
@@ -57,6 +57,9 @@ class OptimizerConfig:
             got = f"rows of shapes {tuple(np.shape(start) for start in self.extra_starts)}"
         if len(self.extra_starts) and not (isinstance(got, tuple) and len(got) == 2):
             raise ValueError(f"extra_starts must be an (m, d) array, got {got}")
+        for start in self.extra_starts:  # NaN fails both comparisons
+            if not all(0.0 <= v <= 1.0 for v in start):
+                raise ValueError(f"extra_starts must be finite points of [0, 1]^d, got {start!r}")
 
     def check_width(self, d: int) -> None:
         """Refuse warm starts of another width than the ``d`` of the search."""
@@ -97,7 +100,7 @@ def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
         pts = np.vstack([fixed, _latin_hypercube(rng, cfg.max_starts - 3, d)])
     cfg.check_width(d)
     if len(cfg.extra_starts):
-        pts = np.vstack([pts, _box(np.asarray(cfg.extra_starts, dtype=float))])
+        pts = np.vstack([pts, np.asarray(cfg.extra_starts, dtype=float)])
     return pts
 
 

@@ -531,6 +531,8 @@ def simulate_protocol(
         raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials >= 2**63:  # numpy draws from a C long
+        raise ValueError(f"trials must be < 2**63, got {trials}")
     kind = StrategyKind(kind)
     rng = np.random.default_rng(seed)
     first = rng.binomial(trials, 0.5)

@@ -63,3 +63,19 @@ def test_evaluate_plan_functions_exist():
     assert funcs
     for func in funcs:
         assert func in vars(qcdisc.strategies), func
+
+
+def test_main_reaches_the_drivers_the_trace_replaces(monkeypatch, capsys):
+    # run.py traces the driver layer by replacing cli.run_sweep_diff, so
+    # cli.main must look its driver up when it runs, not keep its own copy.
+    calls = []
+    for name in ("run_curve", "run_sweep_diff"):
+        def record(cfg, name=name, run=getattr(qcdisc.cli, name)):
+            calls.append(name)
+            return run(cfg)
+
+        monkeypatch.setattr(qcdisc.cli, name, record)
+    argv = ["--family", "depolarizing", "--jobs", "1"]
+    assert qcdisc.cli.main(["curve", *argv, "--eta0", "0.75", "--eta1", "0.4"]) == 0
+    assert qcdisc.cli.main(["sweep-diff", *argv, "--grid", "0:1:2"]) == 0
+    assert calls == ["run_curve", "run_sweep_diff"]

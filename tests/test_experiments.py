@@ -8,6 +8,8 @@ import sys
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -25,9 +27,8 @@ from qcdisc.strategies import (
     values_objective,
 )
 from qcdisc.experiments import (
-    CURVE_FIELDS,
-    SWEEP_FIELDS,
     SWEEP_SHOTS,
+    VALID_STRATEGIES,
     ConfigError,
     closed_form_one_shot,
     make_config,
@@ -244,7 +245,7 @@ def test_curve_adaptive_fallback_prints_flat(monkeypatch, capsys):
     ]
     assert "bayesian inputs tied per shot for n=2" in capsys.readouterr().err
     buf = io.StringIO()
-    write_records_csv(rows, CURVE_FIELDS, cfg.as_dict(), buf)
+    write_records_csv(rows, dataclasses.asdict(cfg), buf)
     buf.seek(0)
     assert [rec["input_mode"] for rec in read_records_csv(buf)] == ["adaptive", "flat"]
 
@@ -337,7 +338,7 @@ def test_sweep_diff_is_the_difference_of_the_printed_values():
     # residue such as -1.11e-16.
     rows = run_sweep_diff(make_config("depolarizing", grid=(0.0, 1.0, 12)))
     buf = io.StringIO()
-    write_records_csv(rows, SWEEP_FIELDS, {}, buf)
+    write_records_csv(rows, {}, buf)
     lines = [ln.split(",") for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
     cells = [dict(zip(lines[0], ln)) for ln in lines[1:]]
     assert len(cells) == 66
@@ -387,7 +388,7 @@ def test_library_sweep_echoes_the_cli_config_line(capsys):
     assert main(["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--jobs", "1"]) == 0
     cli_line = capsys.readouterr().out.splitlines()[1]
     buf = io.StringIO()
-    write_records_csv([], SWEEP_FIELDS, make_config("bit-flip", grid="0:1:3").as_dict(), buf)
+    write_records_csv([], dataclasses.asdict(make_config("bit-flip", grid="0:1:3")), buf)
     assert buf.getvalue().splitlines()[1] == cli_line
 
 
@@ -549,6 +550,15 @@ def test_warm_starts_that_are_no_array_are_refused_by_the_config(starts, got):
     assert str(info.value) == f"extra_starts must be an (m, d) array, got {got}"
 
 
+
+@pytest.mark.filterwarnings("error")
+def test_a_warm_start_outside_the_unit_box_is_refused_by_name():
+    # r = 1.5 used to reach the angle map's arcsin: a numpy warning, then a
+    # schedule error about a NaN that named neither the start nor 1.5.
+    with pytest.raises(ValueError, match=r"got \(1\.5, 0\.2\)$"):
+        optimize_strategy("bayesian", ChannelSpec("bit-flip", 0.7), ChannelSpec("bit-flip", 0.3),
+                          2, "flat", OptimizerConfig(extra_starts=((1.5, 0.2),)))
+
 def test_angle_map_ends_and_round_trips():
     assert experiments._to_r(0.0) == 0.0 and experiments._to_r(1.0) == 1.0
     assert experiments._to_x(0.0) == 0.0 and experiments._to_x(1.0) == 1.0
@@ -610,19 +620,51 @@ def test_csv_json_round_trip():
     rows = run_curve(cfg)
     csv_buf = io.StringIO()
     json_buf = io.StringIO()
-    write_records_csv(rows, CURVE_FIELDS, cfg.as_dict(), csv_buf)
-    write_records_json(rows, CURVE_FIELDS, cfg.as_dict(), json_buf)
+    write_records_csv(rows, dataclasses.asdict(cfg), csv_buf)
+    write_records_json(rows, dataclasses.asdict(cfg), json_buf)
     csv_rows = read_records_csv(io.StringIO(csv_buf.getvalue()))
     json_rows = read_records_json(io.StringIO(json_buf.getvalue()))
     assert csv_rows == json_rows
     assert len(csv_rows) == len(rows)
 
 
+
+def test_no_rows_write_the_comment_lines_only():
+    cfg = dataclasses.asdict(make_config("bit-flip", grid="0:1:3"))
+    buf = io.StringIO()
+    write_records_csv([], cfg, buf)
+    assert buf.getvalue() == (f"# {experiments.TOOL}\n"
+                              f"# config: {json.dumps(cfg, sort_keys=True)}\n")
+    assert read_records_csv(io.StringIO(buf.getvalue())) == []
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_P = st.floats(0.5, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sweep=st.builds(experiments.SweepRow, _FINITE, _FINITE, _P, _P, _FINITE),
+    curve=st.builds(experiments.ResultRow, st.just("bit-flip"), _FINITE, _FINITE,
+                    st.integers(1, 14), st.sampled_from(VALID_STRATEGIES),
+                    st.sampled_from(["flat", "adaptive"]), _P,
+                    st.lists(_FINITE, max_size=4).map(tuple), st.integers(0, 10**9), _FINITE),
+)
+def test_csv_and_json_read_back_the_same_records(sweep, curve):
+    # One 15-digit pass for a CSV cell and two for a JSON number give the
+    # same float: subnormals, signed zeros and 1e300 alike.
+    for rows in ([sweep], [curve]):
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_records_csv(rows, {}, csv_buf)
+        write_records_json(rows, {}, json_buf)
+        assert (read_records_csv(io.StringIO(csv_buf.getvalue()))
+                == read_records_json(io.StringIO(json_buf.getvalue())))
+
 def test_csv_deterministic_except_wall_time():
     def render():
         rows = run_curve(small_curve_config())
         buf = io.StringIO()
-        write_records_csv(rows, CURVE_FIELDS, small_curve_config().as_dict(), buf)
+        write_records_csv(rows, dataclasses.asdict(small_curve_config()), buf)
         lines = []
         for line in buf.getvalue().splitlines():
             if line.startswith("#") or line.startswith("family,"):
@@ -638,7 +680,7 @@ def test_read_back_rejects_corrupt_success_probability():
     cfg = small_curve_config()
     rows = run_curve(cfg)
     buf = io.StringIO()
-    write_records_csv(rows, CURVE_FIELDS, cfg.as_dict(), buf)
+    write_records_csv(rows, dataclasses.asdict(cfg), buf)
     corrupted = buf.getvalue().replace("0.5875", "0.3")
     with pytest.raises(ValueError):
         read_records_csv(io.StringIO(corrupted))
@@ -655,13 +697,11 @@ def test_csv_cells_read_back_as_their_declared_types():
     curve_cfg = small_curve_config(n_max=2)
     sweep_cfg = make_config("depolarizing", grid=(0.2, 0.8, 3))
     records = []
-    for rows, fields, cfg in (
-        (run_curve(curve_cfg), CURVE_FIELDS, curve_cfg),
-        (run_sweep_diff(sweep_cfg), SWEEP_FIELDS, sweep_cfg),
-    ):
+    for rows, cfg in ((run_curve(curve_cfg), curve_cfg), (run_sweep_diff(sweep_cfg), sweep_cfg)):
         buf = io.StringIO()
-        write_records_csv(rows, fields, cfg.as_dict(), buf)
+        write_records_csv(rows, dataclasses.asdict(cfg), buf)
         back = read_records_csv(io.StringIO(buf.getvalue()))
+        fields = [f.name for f in dataclasses.fields(rows[0])]
         assert back and all(list(rec) == list(fields) for rec in back)
         records += back
     kinds = {"n": int, "evaluations": int, "r_values": list,
@@ -677,7 +717,7 @@ def test_sweep_rows_round_trip():
     cfg = make_config("bit-flip", grid=(0.2, 0.8, 3), seed=1)
     rows = run_sweep_diff(cfg)
     buf = io.StringIO()
-    write_records_csv(rows, SWEEP_FIELDS, cfg.as_dict(), buf)
+    write_records_csv(rows, dataclasses.asdict(cfg), buf)
     back = read_records_csv(io.StringIO(buf.getvalue()))
     assert len(back) == len(rows)
     for rec, row in zip(back, rows):

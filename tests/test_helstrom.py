@@ -44,11 +44,17 @@ def test_delta_trace_identity(rng):
     ([[1, 1], [0, 0]], "Hermitian"),
     (np.diag([4.0, 1.0]), "unit trace"),
     (np.diag([1.5, -0.5]), "positive semidefinite"),
+    ([[0.6, math.nan], [math.nan, 0.4]], "finite entries"),
+    (np.full((2, 2), math.nan), "finite entries"),
+    ([[math.inf, 0.0], [0.0, 0.4]], "finite entries"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_weighted_pair_refuses_what_is_no_state(rho, condition):
-    # [[1, 1], [0, 0]] is not Hermitian; read as a state, it gives a p_succ above 1.
-    for pair in ((rho, MIXED), (MIXED, rho)):
-        with pytest.raises(ValueError, match=condition):
+    # [[1, 1], [0, 0]] is not Hermitian; read as a state, it gives a p_succ
+    # above 1. NaN fails every bound test, so a NaN state passed as one and
+    # gave p_succ 0.5; an infinite entry was refused only after a numpy warning.
+    for name, pair in (("rho0", (rho, MIXED)), ("rho1", (MIXED, rho))):
+        with pytest.raises(ValueError, match=f"^{name} must .*{condition}"):
             WeightedPair(0.5, *pair)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ def test_extra_starts_are_used():
     cfg = OptimizerConfig(extra_starts=((0.123456,),), max_evals=50)
     res = maximize(f, 1, cfg)
     assert res.best_value == 1.0
+
+
+@pytest.mark.parametrize("start", [(1.5, float("nan")), (-0.25, 0.5), (0.5, math.inf)])
+def test_warm_starts_outside_the_box_are_refused_by_name(start):
+    # A start at 1.5 was clamped to 1 unsaid; a NaN start ran to its budget
+    # and then won the search with the value NaN.
+    refusal = r"^extra_starts must be finite points of \[0, 1\]\^d, got " + re.escape(repr(start))
+    with pytest.raises(ValueError, match=refusal + "$"):
+        maximize(lambda x: -float(sum(x)), 2, OptimizerConfig(extra_starts=((0.5, 0.5), start)))
 
 
 def test_latin_hypercube_path_high_dimension():

@@ -539,6 +539,15 @@ def test_simulation_rejects_bad_trials():
     assert 0.0 <= freq <= 1.0
 
 
+def test_simulation_takes_trials_up_to_a_c_long():
+    # numpy draws from a C long: 2**63 trials overflowed inside the first draw.
+    sched = InputSchedule.flat([0.3, 0.7])
+    with pytest.raises(ValueError, match=r"^trials must be < 2\*\*63, got 9223372036854775808$"):
+        simulate_protocol("bayesian", *BF, sched, 2**63, seed=1)
+    freq = simulate_protocol("bayesian", *BF, sched, 2**63 - 1, seed=1)
+    assert abs(freq - 0.5951228) <= 1e-7
+
+
 @pytest.mark.parametrize("kind", list(StrategyKind))
 def test_simulation_cost_does_not_grow_with_trials(kind):
     # Trial by trial this would take terabytes; by node counts it is instant.
