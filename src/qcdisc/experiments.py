@@ -116,7 +116,7 @@ def _number(kind, value, name: str, low=None):
     lie below ``low``."""
     try:
         number = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         number = None
     if number is None or (isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"

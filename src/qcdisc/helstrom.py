@@ -180,15 +180,18 @@ def _shot_batch(w, z, x, last):
     if np.count_nonzero(edge):
         # |da| + |db| + |dc|, with |da| + |db| = max(|da + db|, |da - db|).
         size = np.maximum(np.abs(w0 - w1), 2.0 * np.abs(hd)) + np.abs(dc)
-        projective[edge] = (size > -ntol)[edge]
+        np.copyto(projective, size > -ntol, where=edge)
     if last:
         return np.where(projective, w1 + lam0, np.maximum(w0, w1))
     flat = h == 0.0
     if np.count_nonzero(flat):
         hd[flat] = 1.0  # e0, so t = 1/2 + z = rho00
         h[flat] = 1.0
-    t = np.minimum(np.maximum(0.5 + (z * hd + x * dc) / h, 0.0), 1.0)
-    return np.where(projective, t, w0 > w1)
+    t = z * hd  # 0.5 + (z hd + x dc) / h, clamped into [0, 1], in place
+    t += x * dc
+    t /= h
+    t += 0.5
+    return np.where(projective, np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t), w0 > w1)
 
 
 def _build_povm(case: PovmCase, n) -> Povm:

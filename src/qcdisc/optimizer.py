@@ -10,7 +10,9 @@ objective sees one call per Nelder-Mead step for all of them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,12 @@ class OptimizerConfig:
     extra_starts: tuple = ()
 
     def __post_init__(self):
+        for name in ("max_evals", "max_starts", "seed"):  # whole numbers, not bools
+            value = getattr(self, name)
+            try:
+                operator.index(None if isinstance(value, bool) else value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         # A spread never falls below 0, so no start meets a value_tol of 0 or
         # less; every search starts from (0, ...), (1/2, ...) and (1, ...);
         # numpy seeds no generator from a negative seed.
@@ -88,11 +96,18 @@ def _latin_hypercube(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     return sample
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice(d: int) -> np.ndarray:
+    """The {0, 1/2, 1}^d lattice, read-only: one array per d is shared."""
+    axes = np.array([0.0, 0.5, 1.0])
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axes] * d), indexing="ij")], axis=1)
+    pts.flags.writeable = False
+    return pts
+
+
 def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
     if 3**d <= cfg.max_starts:
-        axes = np.array([0.0, 0.5, 1.0])
-        grids = np.meshgrid(*([axes] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
+        pts = _lattice(d)
     else:
         # Keep the all-corner and center points, fill the rest at random.
         fixed = np.array([[0.0] * d, [0.5] * d, [1.0] * d])
@@ -122,6 +137,8 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if not len(cfgs):
+        return []
     # One row per start, stacked problem by problem.
     starts = [_starts(d, cfg) for cfg in cfgs]
     problem = np.repeat(np.arange(len(cfgs)), [len(pts) for pts in starts])
@@ -131,7 +148,7 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     budget = np.array([cfgs[j].max_evals for j in problem])
 
     def g(live, x):
-        return -np.asarray(objective(problem[live], x), dtype=float)
+        return -np.asarray(objective(problem.take(live), x), dtype=float)
 
     # Simplex of each start in rows; vertex 0 is the start point, which
     # _starts keeps in the box, vertex i + 1 moves coordinate i by the step,
@@ -153,10 +170,11 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     out_conv = np.zeros(rows, dtype=bool)
 
     while live.size:
-        # Each simplex sorted by value: one index of (row, vertex) pairs.
-        order = np.arange(len(live))[:, None], np.argsort(values, axis=1, kind="stable")
-        values = values[order]
-        simplex = simplex[order]
+        # Each simplex sorted by value. Rows move by flat (row, vertex)
+        # indices and live rows by takes, which cost less than fancy indexing.
+        order = np.argsort(values, axis=1, kind="stable") + (d + 1) * np.arange(len(live))[:, None]
+        values = values.take(order)
+        simplex = simplex.reshape(-1, d).take(order.ravel(), axis=0).reshape(len(live), d + 1, d)
         # A start ends when it meets its tolerance (converged) or spends its
         # budget; it records the first of its best vertices, which the stable
         # sort keeps first, and leaves the live state.
@@ -164,15 +182,16 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
         met = values[:, -1] - values[:, 0] < tol
         done = met | spent
         if done.any():
-            rid = live[done]
-            i_best = np.argmin(values[done], axis=1)
-            out_x[rid] = simplex[done, i_best]
-            out_g[rid] = values[done, i_best]
-            out_evals[rid] = evals[done]
-            out_conv[rid] = (met & ~spent)[done]
-            keep = ~done
-            live, simplex, values = live[keep], simplex[keep], values[keep]
-            evals, tol, budget = evals[keep], tol[keep], budget[keep]
+            gone = np.flatnonzero(done)
+            rid = live.take(gone)
+            best = gone * (d + 1) + np.argmin(values.take(gone, axis=0), axis=1)
+            out_x[rid] = simplex.reshape(-1, d).take(best, axis=0)
+            out_g[rid] = values.take(best)
+            out_evals[rid] = evals.take(gone)
+            out_conv[rid] = (met & ~spent).take(gone)
+            keep = np.flatnonzero(~done)
+            live, simplex, values = live.take(keep), simplex.take(keep, axis=0), values.take(keep, axis=0)
+            evals, tol, budget = evals.take(keep), tol.take(keep), budget.take(keep)
             if not live.size:
                 break
         # Summed vertex by vertex: the order np.mean sums a single start's
@@ -188,32 +207,29 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
         best_f, second_f, worst_f = values[:, 0], values[:, -2], values[:, -1]
         accept = (best_f <= fr) & (fr < second_f)
         expand = fr < best_f
-        contract = ~(accept | expand)
-        trial = _box(
-            np.where(
-                expand[:, None],
-                centroid + _GAMMA * (centroid - worst),
-                centroid + _BETA * (worst - centroid),
-            )
-        )
-        tried = expand | contract
-        ft = np.full_like(fr, np.nan)
-        if tried.any():
-            ft[tried] = g(live[tried], trial[tried])
-            evals += tried
-        keep_trial = (expand & (ft < fr)) | (contract & (ft < worst_f))
-        take_reflected = accept | (expand & ~keep_trial)
-        simplex[take_reflected, -1] = reflected[take_reflected]
-        values[take_reflected, -1] = fr[take_reflected]
-        simplex[keep_trial, -1] = trial[keep_trial]
-        values[keep_trial, -1] = ft[keep_trial]
-        shrink = contract & ~keep_trial
+        # The others try an expansion or a contraction point, formed only for them.
+        tried = np.flatnonzero(~accept)
+        c, w, e = centroid.take(tried, axis=0), worst.take(tried, axis=0), expand.take(tried)
+        trial = _box(np.where(e[:, None], c + _GAMMA * (c - w), c + _BETA * (w - c)))
+        ft = g(live.take(tried), trial) if tried.size else fr[:0]
+        evals[tried] += 1
+        kept = np.where(e, ft < fr.take(tried), ft < worst_f.take(tried))
+        # Accepted and expanding starts take the reflected point, and then
+        # the starts that keep their trial point take that instead.
+        take_reflected = accept | expand
+        np.copyto(simplex[:, -1], reflected, where=take_reflected[:, None])
+        np.copyto(values[:, -1], fr, where=take_reflected)
+        won = tried[kept]
+        simplex[won, -1] = trial[kept]
+        values[won, -1] = ft[kept]
+        shrink = ~take_reflected
+        shrink[won] = False
         if shrink.any():
             # Shrink towards the best vertex; a start that runs out of budget
             # part way keeps its remaining vertices, so it evaluates at least
             # one and at most d of them.
             rid = np.flatnonzero(shrink)
-            count = np.clip(budget[rid] - evals[rid], 1, d)
+            count = np.minimum(np.maximum(budget.take(rid) - evals.take(rid), 1), d)
             moved = np.arange(1, d + 1)[None, :] <= count[:, None]
             r_idx, v_idx = np.nonzero(moved)
             r_idx = rid[r_idx]
@@ -221,7 +237,7 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
             best = simplex[r_idx, 0]
             points = _box(best + _DELTA * (simplex[r_idx, v_idx] - best))
             simplex[r_idx, v_idx] = points
-            values[r_idx, v_idx] = g(live[r_idx], points)
+            values[r_idx, v_idx] = g(live.take(r_idx), points)
             evals[rid] += count
 
     results = []

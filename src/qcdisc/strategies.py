@@ -475,15 +475,16 @@ def values_objective(kinds, family, eta0, eta1, shots: int, mode=ScheduleMode.FL
         # Arrays are (channel, node or column, row), rows last for long numpy
         # loops; a node per outcome history, or per last outcome.
         terms_rows = terms.take(problem, axis=2)[:, :, None]
-        rho00, rho11, x = _entries(family, terms_rows, r_rows.T, np.sqrt)
+        rho00, rho11, x = _entries(family, terms_rows, np.ascontiguousarray(r_rows.T), np.sqrt)
         z = 0.5 * (rho00 - rho11)
         w = np.ones((2, 1, 1))
         for cols in levels[:-1]:
-            wt = w * _shot_batch(w, z[:, cols], x[:, cols], False)
-            # Node i's children by outcome, 2i and 2i + 1.
-            nodes = wt.shape[1]
-            w = np.concatenate((wt[:, :, None], (w - wt)[:, :, None]), axis=2)
-            w = w.reshape(2, 2 * nodes, rows)
+            # Node i's children by outcome, 2i and 2i + 1, written in place.
+            nodes = w.shape[1]
+            children = np.empty((2, nodes, 2, rows))
+            wt = np.multiply(w, _shot_batch(w, z[:, cols], x[:, cols], False), out=children[:, :, 0])
+            np.subtract(w, wt, out=children[:, :, 1])
+            w = children.reshape(2, 2 * nodes, rows)
             if nodes > 1 and markov_rows:
                 # A Markovian row merges the children of its nodes 0 and 1
                 # by outcome. Adding 0 * w and scaling by 1 keep the bits of

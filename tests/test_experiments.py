@@ -875,6 +875,27 @@ def test_cli_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, cmd, setti
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text,key", [
+    ('"max_evals": Infinity', "max_evals"),
+    ('"seed": 1e400', "seed"),
+])
+def test_cli_config_infinite_integer_settings_exit_2(tmp_path, capsys, text, key):
+    # JSON reads both as a float infinity, whose int() overflows: it ended
+    # the run with an OverflowError traceback.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"family": "bit-flip", "grid": "0:1:3", %s}' % text)
+    assert main(["sweep-diff", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got inf\n"
+
+
+@pytest.mark.parametrize("key", ["n_max", "max_evals", "max_starts", "seed", "jobs", "grid steps"])
+def test_make_config_refuses_infinite_integer_settings(key):
+    settings = ({"grid": (0.0, 1.0, math.inf)} if key == "grid steps"
+                else {"points": [(0.7, 0.3)], key: math.inf})
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer, got inf$"):
+        make_config("bit-flip", **settings)
+
+
 def test_cli_config_null_settings_exit_2(tmp_path, capsys):
     # make_config holds the defaults; a null in the file is refused, not defaulted.
     for key in ("n_max", "strategies", "input_mode", "value_tol", "max_evals", "max_starts",

@@ -99,6 +99,32 @@ def test_config_rejects_settings_no_search_can_run(setting, value):
         OptimizerConfig(**{setting: value})
 
 
+@pytest.mark.parametrize("setting,value", [
+    ("max_starts", 3.5),
+    ("seed", 1.5),
+    ("max_evals", 10.5),
+    ("max_evals", True),
+    ("max_evals", math.inf),
+])
+def test_config_refuses_integer_settings_that_are_no_integers(setting, value):
+    # A fractional start count or seed failed late, inside numpy; a budget
+    # of 10.5 ran 104 evaluations at d = 2, and True ran a budget of 1.
+    with pytest.raises(ValueError, match=f"^{setting} must be an integer, got {value!r}$"):
+        OptimizerConfig(**{setting: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = OptimizerConfig(max_evals=np.int64(50), max_starts=np.int32(9), seed=np.uint8(3))
+    assert maximize(lambda x: -abs(x[0] - 0.3), 1, cfg).evaluations <= 9 * 50
+
+
+def test_maximize_batch_of_no_problems_calls_no_objective():
+    def objective(problem, x):
+        raise AssertionError("called")
+
+    assert maximize_batch(objective, 2, []) == []
+
+
 def test_extra_starts_are_used():
     # A spike the lattice cannot see; the warm start lands on it.
     def f(x):
@@ -267,6 +293,8 @@ OBJECTIVES = (
     lambda x: -float(np.sum((np.asarray(x) - 0.3) ** 2)),
     lambda x: math.sin(5 * x[0]) * math.cos(3 * x[-1]) + x[0],
     lambda x: -abs(x[0] - 0.123) - 0.1 * float(np.sum(np.cos(7 * np.asarray(x)))),
+    # A plateau: exact ties, which the sort must keep in their stable order.
+    lambda x: -math.floor(4 * x[0]) / 4 - math.floor(4 * x[-1]) / 8,
 )
 
 

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/time_pair.py --parent PATH --change PATH --plan walks|curves
+    python3 tools/time_pair.py --parent PATH --change PATH --plan walks|curves|sweeps
         [--rounds R] [--seed S] [--jobs J] [--out FILE]
 
 Imports each checkout's ``src/qcdisc`` from a temporary copy, as
@@ -21,9 +21,15 @@ from [0.05, 0.95] with seed S. A sample spans at least 2 ms, with as many
 calls on both sides, and reads in microseconds per call. ``curves`` (R = 4)
 times the criterion-5 ``run_curve`` of each family at (0.75, 0.4) and
 (0.95, 0.6), n = 1..6, seed 17, with J jobs, in seconds, and records each
-side's evaluations per strategy and rows. The JSON record holds, per entry,
-both sides' samples and medians and the median and quartiles of the
-per-round change/parent ratio, and the machine.
+side's evaluations per strategy and rows. ``sweeps`` (R = 24) times the
+``run_sweep_diff`` of each family on perfbench's grid (``0:1:SWEEP_STEPS`` of
+the parent's perfbench/workloads.py), seed S, one job, in seconds, with each
+side's time inside the objective that ``values_objective`` returns and
+outside it, and records whether both sides' rows are equal. The JSON record
+holds, per entry, both sides' samples and medians and the median and
+quartiles of the per-round change/parent ratio, and the machine; for
+``sweeps`` also a ``split`` table of the same kind for the time inside and
+outside the objective, per family and summed over the families (``all``).
 """
 
 import os
@@ -33,6 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ast  # noqa: E402
+import dataclasses  # noqa: E402
 import functools  # noqa: E402
 import gc  # noqa: E402
 import importlib  # noqa: E402
@@ -117,6 +124,35 @@ def _walk_entries(packages, plan, trials: int, seed: int) -> dict:
     return entries
 
 
+def _timed_objectives(experiments, clock: list) -> None:
+    """Make ``experiments.values_objective`` return objectives that add the
+    seconds they spend to ``clock[0]``."""
+    build = experiments.values_objective
+
+    def values_objective(*args, **kwargs):
+        objective = build(*args, **kwargs)
+
+        def timed(problem, r_rows):
+            t0 = time.perf_counter()
+            try:
+                return objective(problem, r_rows)
+            finally:
+                clock[0] += time.perf_counter() - t0
+
+        return timed
+
+    experiments.values_objective = values_objective
+
+
+def _summary(parent: list, change: list) -> dict:
+    """Both sides' samples and medians, and the per-round change/parent ratio."""
+    q1, med, q3 = statistics.quantiles([c / p for p, c in zip(parent, change)], n=4,
+                                       method="inclusive")
+    return {"parent": parent, "change": change, "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change), "ratio_median": med,
+            "ratio_quartiles": [q1, q3]}
+
+
 def _repeats(runs) -> int:
     """Calls per sample, for the faster side's fastest of five passes to span MIN_SAMPLE_S."""
     fastest = math.inf
@@ -131,18 +167,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="root of the parent qcdisc checkout")
     ap.add_argument("--change", required=True, help="root of the changed qcdisc checkout")
-    ap.add_argument("--plan", required=True, choices=("walks", "curves"))
-    ap.add_argument("--rounds", type=int, help="even; 16 for walks and 4 for curves by default")
+    ap.add_argument("--plan", required=True, choices=("walks", "curves", "sweeps"))
+    ap.add_argument("--rounds", type=int,
+                    help="even; 16 for walks, 4 for curves and 24 for sweeps by default")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--jobs", type=int, default=1, help="worker processes of a curve run")
     ap.add_argument("--out", help="JSON record to write")
     args = ap.parse_args(argv)
-    rounds = args.rounds or {"walks": 16, "curves": 4}[args.plan]
+    rounds = args.rounds or {"walks": 16, "curves": 4, "sweeps": 24}[args.plan]
     if rounds < 2 or rounds % 2 or args.jobs < 1:
         raise SystemExit("error: --rounds must be even and >= 2, and --jobs >= 1")
     roots = [Path(args.parent).resolve(), Path(args.change).resolve()]
     record = {"plan": args.plan, **dict(zip(SIDES, map(str, roots))), "rounds": rounds,
               "seed": args.seed, "jobs": args.jobs}
+    clocks = ([0.0], [0.0])  # each side's seconds inside the objective, sweeps only
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)  # spawned --jobs workers inherit it
@@ -153,16 +191,27 @@ def main(argv=None) -> int:
             entries = {label: (runs, _repeats(runs), 1e6 / len(FAMILIES)) for label, runs in
                        _walk_entries(packages, _literal(workloads, "EVALUATE_PLAN"),
                                      record["sim_trials"], args.seed).items()}
-        else:
+        elif args.plan == "curves":
             record["unit"] = "s per run"
             entries = {family: ([functools.partial(e.run_curve, e.make_config(
                 family, points=((0.75, 0.4), (0.95, 0.6)), n_max=6, seed=17, jobs=args.jobs))
                 for e in (p.experiments for p in packages)], 1, 1.0) for family in FAMILIES}
+        else:
+            steps = _literal(roots[0] / "perfbench" / "workloads.py", "SWEEP_STEPS")
+            record.update(grid=f"0:1:{steps}", unit="s per run")
+            for package, clock in zip(packages, clocks):
+                _timed_objectives(package.experiments, clock)
+            entries = {family: ([functools.partial(e.run_sweep_diff, e.make_config(
+                family, grid=record["grid"], seed=args.seed, jobs=args.jobs))
+                for e in (p.experiments for p in packages)], 1, 1.0) for family in FAMILIES}
         samples = {label: ([], []) for label in entries}
+        inside = {label: ([], []) for label in entries}
         results = {}  # each side's result of the first round, per entry
         for k in range(rounds):
             for label, (runs, reps, scale) in entries.items():
                 spent = [0.0, 0.0]
+                for clock in clocks:
+                    clock[0] = 0.0
                 gc.disable()
                 for _ in range(reps):  # the two sides' passes alternate within a sample too
                     for i in (0, 1) if k % 2 == 0 else (1, 0):
@@ -173,21 +222,41 @@ def main(argv=None) -> int:
                 gc.enable()
                 for i in (0, 1):
                     samples[label][i].append(spent[i] / reps * scale)
+                    inside[label][i].append(clocks[i][0] / reps * scale)
 
     record["machine"] = {"cpu": _cpu(), "nproc": os.cpu_count(), "blas_threads": 1,
                          "python": platform.python_version(), "numpy": np.__version__}
     table = record["entries"] = {}
-    for label, (parent, change) in samples.items():
-        q1, med, q3 = statistics.quantiles([c / p for p, c in zip(parent, change)], n=4,
-                                           method="inclusive")
-        entry = table[label] = {
-            "calls_per_sample": entries[label][1], "parent": parent, "change": change,
-            "parent_median": statistics.median(parent), "change_median": statistics.median(change),
-            "ratio_median": med, "ratio_quartiles": [q1, q3]}
+
+    def show(label, entry):
+        q1, q3 = entry["ratio_quartiles"]
         print(f"{label}: parent {entry['parent_median']:.4g}, change {entry['change_median']:.4g} "
-              f"{record['unit']}; change/parent {med:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
+              f"{record['unit']}; change/parent {entry['ratio_median']:.3f} [{q1:.3f}, {q3:.3f}]",
+              flush=True)
+
+    for label, sides in samples.items():
+        table[label] = {"calls_per_sample": entries[label][1], **_summary(*sides)}
+        show(label, table[label])
     record["ratio_median"] = statistics.median(e["ratio_median"] for e in table.values())
     print(f"median change/parent over {len(entries)} entries: {record['ratio_median']:.3f}")
+    if args.plan == "sweeps":
+        outside = {label: tuple([t - o for t, o in zip(total, obj)]
+                                for total, obj in zip(samples[label], inside[label]))
+                   for label in entries}
+        split = {}
+        for part, by_label in (("objective", inside), ("outside", outside)):
+            split.update({f"{label}/{part}": by_label[label] for label in entries})
+        for part, by_label in (("total", samples), ("objective", inside), ("outside", outside)):
+            # Per side, each round's sum over the families.
+            split[f"all/{part}"] = tuple([sum(r) for r in zip(*(by_label[label][i] for label in entries))]
+                                         for i in (0, 1))
+        record["split"] = {label: _summary(*sides) for label, sides in split.items()}
+        for label, entry in record["split"].items():
+            show(label, entry)
+        rows = {side: {family: [dataclasses.astuple(row) for row in results[family, side]]
+                       for family in FAMILIES} for side in SIDES}
+        record["rows_equal"] = rows["parent"] == rows["change"]
+        print(f"rows equal on both sides: {record['rows_equal']}")
     if args.plan == "curves":
         by_side = record["curves"] = {side: {family: {
             "evaluations": {s: sum(r.evaluations for r in results[family, side] if r.strategy == s)
@@ -198,7 +267,8 @@ def main(argv=None) -> int:
         } for family in FAMILIES} for side in SIDES}
         for side, curves in by_side.items():
             print(f"{side} evaluations: {[curves[family]['evaluations'] for family in FAMILIES]}")
-        print(f"rows equal on both sides: {by_side['parent'] == by_side['change']}")
+        record["rows_equal"] = by_side["parent"] == by_side["change"]
+        print(f"rows equal on both sides: {record['rows_equal']}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=1)
