@@ -24,7 +24,7 @@ from .channels import ChannelFamily, ChannelSpec, ETA_MAX
 from .helstrom import WeightedPair, brute_force_povm, optimal_povm, povm_defect
 # maximize is not called here, but stays importable from this module: the
 # traced benchmark run (perfbench/run.py) wraps experiments.maximize.
-from .optimizer import OptimizerConfig, OptResult, maximize, maximize_batch  # noqa: F401
+from .optimizer import OptimizerConfig, OptResult, _whole, maximize, maximize_batch  # noqa: F401
 from .strategies import (
     SHOT_CAP,
     InputSchedule,
@@ -110,10 +110,10 @@ class SweepRow:
     diff: float
 
 
-def _number(kind, value, name: str, low=None):
+def _number(kind, value, name: str, low=None, c_long=True):
     """``kind(value)``, or a :class:`ConfigError` naming the setting; an
-    integer setting takes no fraction, no setting a boolean, and none may
-    lie below ``low``."""
+    integer setting takes no fraction, no setting a boolean, and an integer
+    given a ``low`` keeps the rule of :func:`~qcdisc.optimizer._whole`."""
     try:
         number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
@@ -121,9 +121,10 @@ def _number(kind, value, name: str, low=None):
     if number is None or (isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    if low is not None and number < low:
-        raise ConfigError(f"{name} must be >= {low}, got {number}")
-    return number
+    try:
+        return number if low is None else _whole(number, name, low, c_long)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def make_config(
@@ -184,9 +185,7 @@ def make_config(
                 f"grid must be MIN:MAX:STEPS or [min, max, steps], got {grid!r}"
             ) from None
         gmin, gmax = _number(float, gmin, "grid min"), _number(float, gmax, "grid max")
-        steps = _number(int, steps, "grid steps")
-        if steps < 2:
-            raise ConfigError(f"grid needs at least 2 steps, got {steps}")
+        steps = _number(int, steps, "grid steps", 2)
         if not (0.0 <= gmin * hi < gmax * hi <= hi):
             raise ConfigError(f"grid [{gmin:g}, {gmax:g}] invalid for {family.value}")
         entered_grid = (gmin, gmax, steps)
@@ -288,9 +287,9 @@ def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
         objective = values_objective(
             kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], shots, mode
         )
-        for cfg in cfgs:  # refused alike by every family
-            cfg.check_width(d)
         if family is ChannelFamily.DEPOLARIZING:
+            for cfg in cfgs:  # refused as maximize_batch refuses them
+                cfg.check_width(d)
             values = objective(np.arange(len(members)), np.zeros((len(members), d)))
             found = [OptResult(np.zeros(d), float(v), 1, True) for v in values]
         else:
@@ -685,7 +684,7 @@ def run_validate(suite: str, seed: int = 0) -> list[CheckResult]:
     """Run one named self-check suite and return its checks."""
     if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {VALID_SUITES}")
-    return _SUITES[suite](_number(int, seed, "seed", 0))
+    return _SUITES[suite](_number(int, seed, "seed", 0, c_long=False))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,22 @@ _ALPHA, _GAMMA, _BETA, _DELTA = 1.0, 2.0, 0.5, 0.5
 _INITIAL_STEP = 0.25
 
 
+def _whole(value, name: str, low: int, c_long: bool = True) -> int:
+    """``value`` as an int, or a ``ValueError`` naming ``name``: the package's
+    one rule for counts, dimensions and seeds. No bool, nothing below ``low``
+    and nothing from 2**63 on, as numpy counts and draws in a C long; a seed
+    (``c_long=False``) may be of any size."""
+    try:
+        number = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    if c_long and number >= 2**63:
+        raise ValueError(f"{name} must be < 2**63, got {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs of the multistart search.
@@ -33,6 +49,10 @@ class OptimizerConfig:
     it; ``max_evals`` is the per-start evaluation budget. ``extra_starts``
     are additional seed points (e.g. warm starts from a related problem),
     an (m, d) array of points of the unit box appended to the generated ones.
+    A setting out of its limits raises a ``ValueError`` naming it: integers
+    ``max_evals`` >= 1 and ``max_starts`` >= 3 (the three diagonal starts),
+    both < 2**63, and ``seed`` >= 0, of any size; ``value_tol`` positive and
+    finite, as no simplex's value spread falls below 0.
     """
 
     value_tol: float = 1e-9
@@ -42,23 +62,11 @@ class OptimizerConfig:
     extra_starts: tuple = ()
 
     def __post_init__(self):
-        for name in ("max_evals", "max_starts", "seed"):  # whole numbers, not bools
-            value = getattr(self, name)
-            try:
-                operator.index(None if isinstance(value, bool) else value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        # A spread never falls below 0, so no start meets a value_tol of 0 or
-        # less; every search starts from (0, ...), (1/2, ...) and (1, ...);
-        # numpy seeds no generator from a negative seed.
-        for name, ok, limit in (
-            ("value_tol", 0.0 < self.value_tol < math.inf, "positive and finite"),
-            ("max_evals", self.max_evals >= 1, ">= 1"),
-            ("max_starts", self.max_starts >= 3, ">= 3"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {limit}, got {getattr(self, name)!r}")
+        _whole(self.max_evals, "max_evals", 1)
+        _whole(self.max_starts, "max_starts", 3)
+        _whole(self.seed, "seed", 0, c_long=False)
+        if not 0.0 < self.value_tol < math.inf:
+            raise ValueError(f"value_tol must be positive and finite, got {self.value_tol!r}")
         try:
             got = np.shape(self.extra_starts)
         except ValueError:  # ragged rows, of which numpy names no shape
@@ -133,10 +141,9 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     objective's value for a row does not depend on the other rows.
     Returns one :class:`OptResult` per problem; ``converged`` is True only
     if every start of that problem met its value tolerance within its
-    evaluation budget.
+    evaluation budget; ``d`` must be an integer from 1 to 2**63 - 1.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _whole(d, "d", 1)
     if not len(cfgs):
         return []
     # One row per start, stacked problem by problem.

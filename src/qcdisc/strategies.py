@@ -51,13 +51,13 @@ optimizer that reaches r1* reports the upper side of the jump.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ChannelFamily, ChannelSpec, _check_eta, _entries, _eta_terms, output_entries
 from .helstrom import Povm, PovmCase, _build_povm, _shot_batch, success_and_traces
+from .optimizer import _whole
 
 __all__ = [
     "InputSchedule",
@@ -400,8 +400,9 @@ def values_objective(kinds, family, eta0, eta1, shots: int, mode=ScheduleMode.FL
     eta1[j])`` of ``family``, with schedules of ``shots`` shots laid out in
     ``mode``: a row holds the shots' values concatenated, as
     :func:`level_widths` lays them out. Everything but the schedules is
-    checked here, once, and the eta factors of the outputs are computed
-    once. Returns ``f(problem, r_rows)``, the objective that
+    checked here, once, ``shots`` being an integer from 1 to the kinds'
+    :data:`SHOT_CAP`, and the eta factors of the outputs are computed once.
+    Returns ``f(problem, r_rows)``, the objective that
     :func:`~qcdisc.optimizer.maximize_batch` takes: it checks only that
     every row has the layout's width and that r lies in [0, 1], and returns
     the success probability of row i, problem ``problem[i]`` at the
@@ -420,6 +421,7 @@ def values_objective(kinds, family, eta0, eta1, shots: int, mode=ScheduleMode.FL
     chunks of at most :data:`_GLOBAL_CHUNK_BYTES` of products, each row as
     :func:`global_value` scores it alone.
     """
+    shots = _whole(shots, "shots", 1)
     kinds = [StrategyKind(k) for k in kinds]
     family = ChannelFamily(family)
     mode = ScheduleMode(mode)
@@ -523,17 +525,11 @@ def simulate_protocol(
     Conditional binomial splitting draws the same multinomial over the
     leaves as a walk trial by trial (Devroye, *Non-Uniform Random Variate
     Generation*, 1986, ch. XI), so the frequency has the same distribution,
-    at a cost that grows with the nodes of the tree and not with
-    ``trials``. Deterministic for a fixed seed.
+    at a cost that grows with the nodes of the tree and not with ``trials``,
+    an integer from 1 to 2**63 - 1. Deterministic for a fixed ``seed`` >= 0.
     """
-    try:
-        trials = operator.index(trials)  # a float would be truncated by the draws
-    except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials >= 2**63:  # numpy draws from a C long
-        raise ValueError(f"trials must be < 2**63, got {trials}")
+    trials = _whole(trials, "trials", 1)  # a float would be truncated by the draws
+    _whole(seed, "seed", 0, c_long=False)
     kind = StrategyKind(kind)
     rng = np.random.default_rng(seed)
     first = rng.binomial(trials, 0.5)

@@ -896,6 +896,18 @@ def test_make_config_refuses_infinite_integer_settings(key):
         make_config("bit-flip", **settings)
 
 
+@pytest.mark.parametrize("key", ["n_max", "max_evals", "max_starts", "jobs", "grid steps"])
+def test_make_config_refuses_integer_settings_numpy_cannot_hold(key):
+    # numpy counts in a C long: a max_evals of 2**63 failed the search in
+    # numpy's int64 casting, and a grid of 2**63 steps failed in np.linspace.
+    # A seed keeps no upper limit.
+    settings = ({"grid": (0.0, 1.0, 2**63)} if key == "grid steps"
+                else {"points": [(0.7, 0.3)], key: 2**63})
+    with pytest.raises(ConfigError, match=rf"^{key} must be < 2\*\*63, got {2**63}$"):
+        make_config("bit-flip", **settings)
+    assert make_config("bit-flip", points=[(0.7, 0.3)], seed=2**63).seed == 2**63
+
+
 def test_cli_config_null_settings_exit_2(tmp_path, capsys):
     # make_config holds the defaults; a null in the file is refused, not defaulted.
     for key in ("n_max", "strategies", "input_mode", "value_tol", "max_evals", "max_starts",
@@ -1010,6 +1022,9 @@ _POINT = ["--eta0", "0.7", "--eta1", "0.3"]
     (["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--format", "xml"], "format"),
     (["curve", "--family", "bit-flip", "--eta0", "x", "--eta1", "0.3"], "eta0"),
     (["validate", "monte-carlo", "--seed", "x"], "seed"),
+    (["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--max-evals", str(10**20)],
+     "max_evals"),
+    (["sweep-diff", "--family", "bit-flip", "--grid", f"0:1:{10**20}"], "grid steps"),
 ])
 def test_cli_bad_flag_values_return_2(capsys, argv, setting):
     # A flag's text is parsed by make_config or run_validate, as a config

@@ -113,6 +113,15 @@ def test_config_refuses_integer_settings_that_are_no_integers(setting, value):
         OptimizerConfig(**{setting: value})
 
 
+@pytest.mark.parametrize("setting", ["max_evals", "max_starts"])
+def test_config_refuses_counts_numpy_cannot_hold(setting):
+    # numpy counts in a C long: a budget of 2**63 passed the config and
+    # failed a 2-D search in numpy's int64 casting. A seed may be any size.
+    with pytest.raises(ValueError, match=rf"^{setting} must be < 2\*\*63, got {2**63}$"):
+        OptimizerConfig(**{setting: 2**63})
+    assert OptimizerConfig(seed=2**63).seed == 2**63
+
+
 def test_config_takes_numpy_integers():
     cfg = OptimizerConfig(max_evals=np.int64(50), max_starts=np.int32(9), seed=np.uint8(3))
     assert maximize(lambda x: -abs(x[0] - 0.3), 1, cfg).evaluations <= 9 * 50

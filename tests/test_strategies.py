@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import InputState, apply, eigen_hermitian, outcome_probs, pure_stat
 import qcdisc.strategies as strategies
 from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import WeightedPair, optimal_povm
+from qcdisc.optimizer import maximize
 from qcdisc.strategies import (
     SHOT_CAP,
     InputSchedule,
@@ -546,6 +548,36 @@ def test_simulation_takes_trials_up_to_a_c_long():
         simulate_protocol("bayesian", *BF, sched, 2**63, seed=1)
     freq = simulate_protocol("bayesian", *BF, sched, 2**63 - 1, seed=1)
     assert abs(freq - 0.5951228) <= 1e-7
+
+
+@pytest.mark.parametrize("setting,value,refusal", [
+    ("trials", True, "trials must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", True, "seed must be an integer, got True"),
+])
+def test_simulation_refuses_trials_and_seeds_by_name(setting, value, refusal):
+    # True ran one trial, and the bad seeds failed inside numpy's
+    # SeedSequence without naming the seed; a seed may be of any size.
+    args = {"trials": 10, "seed": 1, setting: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        simulate_protocol("bayesian", *BF, InputSchedule.flat([0.3]), **args)
+    assert 0.0 <= simulate_protocol("bayesian", *BF, InputSchedule.flat([0.3]), 10, 2**70) <= 1.0
+
+
+@pytest.mark.parametrize("value,d_refusal,shots_refusal", [
+    (True, "^d must be an integer, got True$", "^shots must be an integer, got True$"),
+    (2.0, r"^d must be an integer, got 2\.0$", r"^shots must be an integer, got 2\.0$"),
+    (0, "must be >= 1, got 0$", "^shots must be >= 1, got 0$"),  # a d of 0 was refused already
+])
+def test_dimensions_and_shot_counts_are_refused_by_name(value, d_refusal, shots_refusal):
+    # maximize failed inside numpy on a d of True or 2.0; values_objective
+    # took True as one shot, failed inside numpy on 2.0, and built an
+    # objective of width 0 from 0 shots that refused every row.
+    with pytest.raises(ValueError, match=d_refusal):
+        maximize(lambda x: 0.0, value)
+    with pytest.raises(ValueError, match=shots_refusal):
+        values_objective(["markovian"], "bit-flip", [0.7], [0.3], value)
 
 
 @pytest.mark.parametrize("kind", list(StrategyKind))
