@@ -31,6 +31,7 @@ from .strategies import (
     ScheduleMode,
     StrategyKind,
     _check_family,
+    _check_shots,
     level_widths,
     simulate_protocol,
     strategy_value,
@@ -260,48 +261,54 @@ def _to_x(r):
     return np.arcsin(np.sqrt(np.asarray(r, dtype=float))) / _HALF_PI
 
 
-def _optimize(problems, family: ChannelFamily, shots: int, input_mode: str):
-    """Best inputs of many ``(kind, (eta0, eta1), opt_cfg)`` problems.
+def _optimize(problems, family: ChannelFamily, counts, input_mode: str):
+    """Best inputs of many ``(kind, (eta0, eta1), opt_cfg)`` problems at each
+    of a run of consecutive shot counts: per count, one ``(result, wall time
+    of all the count's searches)`` per problem, in order, the result None
+    past the problem's ``SHOT_CAP``, its ``best_point`` in r.
 
-    Problems whose searches have the same parameter count and schedule mode,
-    and are all global or all feedforward, run in one lockstep search, on
-    one objective built once for all of them; returns one :class:`OptResult`
-    per problem, in order, its ``best_point`` in r. The search runs over the
-    angle x with r = sin^2(pi x / 2): every value is even in the angle about
-    both ends of the box, so an optimum at r = 0 or 1, where values move
-    like sqrt(r) or sqrt(1 - r), is a smooth stationary point in x. Warm
-    starts (``extra_starts``) are given in r, and a start of another width
-    than its layout's is refused for every family. The depolarizing family
-    is input independent, so each objective is evaluated once instead, at
-    the zero point of its layout.
+    At each count, the searches of one parameter count and schedule mode,
+    all global or all feedforward, run in one lockstep on one objective.
+    They run over the angle x with r = sin^2(pi x / 2): every value is even
+    in the angle about both ends of the box, so an optimum at r = 0 or 1,
+    where values move like sqrt(r) or sqrt(1 - r), is a smooth stationary
+    point in x. A problem's own ``extra_starts``, in r, are for a one-count
+    call, and refused for every family if not of its layout's width. A
+    search flat at the count before also starts from its best inputs there,
+    extended by 0, 1/2 and 1 (it is flat at this count too, as an adaptive
+    layout only grows with the count). The depolarizing family is input
+    independent: each objective is evaluated once, at the zero point.
     """
-    groups: dict = {}
-    for i, (kind, _, _) in enumerate(problems):
-        kind = StrategyKind(kind)
-        d, mode = _layout(kind, shots, input_mode)
-        # values_objective runs global problems apart from the others.
-        groups.setdefault((d, mode, kind is StrategyKind.GLOBAL), []).append(i)
-    results = [None] * len(problems)
-    for (d, mode, _), members in groups.items():
-        kinds, cells, cfgs = zip(*(problems[i] for i in members))
-        objective = values_objective(
-            kinds, family, [e0 for e0, _ in cells], [e1 for _, e1 in cells], shots, mode
-        )
-        if family is ChannelFamily.DEPOLARIZING:
-            for cfg in cfgs:  # refused as maximize_batch refuses them
-                cfg.check_width(d)
-            values = objective(np.arange(len(members)), np.zeros((len(members), d)))
-            found = [OptResult(np.zeros(d), float(v), 1, True) for v in values]
-        else:
-            cfgs = [
-                dataclasses.replace(cfg, extra_starts=tuple(_to_x(cfg.extra_starts).tolist()))
-                for cfg in cfgs
-            ]
-            found = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
-            found = [dataclasses.replace(res, best_point=_to_r(res.best_point)) for res in found]
-        for i, res in zip(members, found):
-            results[i] = res
-    return results
+    warm = [()] * len(problems)  # each problem's starts from the count before
+    out = []
+    for shots in counts:
+        t0 = time.perf_counter()
+        groups: dict = {}
+        for i, (kind, _, _) in enumerate(problems):
+            kind = StrategyKind(kind)
+            if shots <= SHOT_CAP[kind]:
+                d, mode = _layout(kind, shots, input_mode)
+                groups.setdefault((d, mode, kind is StrategyKind.GLOBAL), []).append(i)
+        results = [None] * len(problems)
+        for (d, mode, _), members in groups.items():
+            kinds, cells, cfgs = zip(*(problems[i] for i in members))
+            objective = values_objective(kinds, family, *zip(*cells), shots, mode)
+            if family is ChannelFamily.DEPOLARIZING:
+                for cfg in cfgs:  # refused as maximize_batch refuses them
+                    cfg.check_width(d)
+                values = objective(np.arange(len(members)), np.zeros((len(members), d)))
+                found = [OptResult(np.zeros(d), float(v), 1, True) for v in values]
+            else:
+                xs = [_to_x([*c.extra_starts, *warm[i]]).tolist() for i, c in zip(members, cfgs)]
+                cfgs = [dataclasses.replace(cfg, extra_starts=tuple(x)) for cfg, x in zip(cfgs, xs)]
+                in_x = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
+                found = [dataclasses.replace(res, best_point=_to_r(res.best_point)) for res in in_x]
+            for i, res in zip(members, found):
+                results[i] = res
+                warm[i] = [(*res.best_point, v) for v in (0.0, 0.5, 1.0)] if mode == "flat" else ()
+        elapsed = time.perf_counter() - t0
+        out.append([(res, elapsed) for res in results])
+    return out
 
 
 def optimize_strategy(
@@ -312,7 +319,8 @@ def optimize_strategy(
     input_mode: str = "flat",
     opt_cfg: OptimizerConfig = OptimizerConfig(),
 ):
-    """Best inputs for one strategy at a fixed shot count.
+    """Best inputs for one strategy at a fixed shot count, one
+    :func:`_optimize` call; a count past its ``SHOT_CAP`` is refused.
 
     Returns ``(p_succ, r_values, evaluations)``; in adaptive mode
     ``r_values`` holds the levels of the schedule concatenated, or one value
@@ -321,54 +329,30 @@ def optimize_strategy(
     the all-|0> schedule of its layout instead of being optimized.
     """
     _check_family(spec0, spec1)
-    res = _optimize([(kind, (spec0.eta, spec1.eta), opt_cfg)], spec0.family, shots, input_mode)[0]
+    _check_shots(StrategyKind(kind), _whole(shots, "shots", 1))
+    [[(res, _)]] = _optimize([(kind, (spec0.eta, spec1.eta), opt_cfg)], spec0.family, (shots,),
+                             input_mode)
     return res.best_value, tuple(float(v) for v in res.best_point), res.evaluations
 
 
 def _search_task(payload) -> list[list[tuple]]:
-    """Results of a run of ``(kind, (eta0, eta1), seed)`` problems at each of
-    a run of consecutive shot counts.
-
-    Each count makes one :func:`_optimize` call over the problems, and
-    yields one ``(result, wall time of that call)`` per problem, the result
-    None for a problem past its strategy's ``SHOT_CAP``. A problem whose
-    search was flat at the count before also starts from its best inputs
-    there, extended by 0, 1/2 and 1; its search is flat at this count too,
-    as an adaptive layout only grows with the count.
-    """
+    """:func:`_optimize` of ``(kind, (eta0, eta1), seed)`` problems, on ``cfg``'s settings."""
     cfg, problems, counts = payload
-    best = [None] * len(problems)
-    out = []
-    for shots in counts:
-        live = [j for j, (kind, _, _) in enumerate(problems)
-                if shots <= SHOT_CAP[StrategyKind(kind)]]
-        batch = []
-        for j in live:
-            kind, point, seed = problems[j]
-            extra = () if best[j] is None else tuple(best[j] + (v,) for v in (0.0, 0.5, 1.0))
-            batch.append((kind, point, OptimizerConfig(
-                value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed,
-                max_starts=cfg.max_starts, extra_starts=extra)))
-        t0 = time.perf_counter()
-        found = _optimize(batch, cfg.family, shots, cfg.input_mode)
-        elapsed = time.perf_counter() - t0
-        results = [None] * len(problems)
-        for j, res in zip(live, found):
-            results[j] = res
-            flat = _layout(StrategyKind(problems[j][0]), shots, cfg.input_mode)[1] == "flat"
-            best[j] = tuple(float(v) for v in res.best_point) if flat else None
-        out.append([(res, elapsed) for res in results])
-    return out
+    problems = [(kind, point, OptimizerConfig(
+        value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed, max_starts=cfg.max_starts))
+        for kind, point, seed in problems]
+    return _optimize(problems, cfg.family, counts, cfg.input_mode)
 
 
 def _search(cfg: ExperimentConfig, problems: list, counts) -> list[list]:
     """For each shot count, one ``(result, wall time)`` per problem, as
-    :func:`_search_task` gives them for all ``problems``.
+    :func:`_optimize` gives them for all ``problems``.
 
     ``jobs`` splits the problems into that many contiguous runs, one task
     each, the earlier runs no longer than the later: a one-point curve at
     ``jobs=2`` runs its first strategy alone. A row's wall time is that of
-    the search its run shared. Warns once if any search did not converge.
+    all its count's searches in its run. Warns once if any search did not
+    converge.
     """
     runs = max(1, min(cfg.jobs, len(problems)))
     bounds = [len(problems) * w // runs for w in range(runs + 1)]
@@ -546,10 +530,10 @@ def _suite_oneshot(seed: int) -> list[CheckResult]:
     for family in ChannelFamily:
         axis = np.linspace(0.0, ETA_MAX[family], 12)
         cells = [(float(e0), float(e1)) for e0 in axis for e1 in axis if e0 > e1]
-        found = _optimize([("markovian", cell, OptimizerConfig(seed=seed)) for cell in cells],
-                          family, 1, "flat")
+        (found,) = _optimize([("markovian", cell, OptimizerConfig(seed=seed)) for cell in cells],
+                             family, (1,), "flat")
         worst = max(abs(res.best_value - closed_form_one_shot(family, *cell))
-                    for cell, res in zip(cells, found))
+                    for cell, (res, _) in zip(cells, found))
         checks.append(CheckResult(f"oneshot/{family.value}", worst, 1e-6))
     return checks
 
@@ -748,11 +732,12 @@ _CELL_PARSERS = {
 _FIELD_TYPES = {**typing.get_type_hints(ResultRow), **typing.get_type_hints(SweepRow)}
 
 
-def _check_p_succ(rec: dict) -> None:
-    """Every success probability, a column named ``p_*``, lies in [0.5, 1]."""
+def _check_p_succ(rec: dict, where: str) -> None:
+    """Every success probability, a column named ``p_*``, is a number in [0.5, 1]."""
     for key, value in rec.items():
-        if key.startswith("p_") and not (0.5 - 1e-9 <= value <= 1.0 + 1e-9):
-            raise ValueError(f"{key}={value} outside [0.5, 1]")
+        number = type(value) in (int, float)
+        if key.startswith("p_") and not (number and 0.5 - 1e-9 <= value <= 1.0 + 1e-9):
+            raise ValueError(f"{where}, column {key}: {value!r} is not a number in [0.5, 1]")
 
 
 def read_records_csv(fh) -> list[dict]:
@@ -771,15 +756,19 @@ def read_records_csv(fh) -> list[dict]:
             raise ValueError(
                 f"line {lineno} has {len(cells)} cells, the header {len(fields)}"
             )
-        rec = {key: parse(cell) for key, parse, cell in zip(fields, parsers, cells)}
-        _check_p_succ(rec)
+        rec = {}
+        for key, parse, cell in zip(fields, parsers, cells):
+            try:
+                rec[key] = parse(cell)
+            except ValueError:
+                raise ValueError(f"line {lineno}, column {key}: cannot read {cell!r}") from None
+        _check_p_succ(rec, f"line {lineno}")
         records.append(rec)
     return records
 
 
 def read_records_json(fh) -> list[dict]:
-    payload = json.load(fh)
-    records = payload["rows"]
-    for rec in records:
-        _check_p_succ(rec)
+    records = json.load(fh)["rows"]
+    for i, rec in enumerate(records):
+        _check_p_succ(rec, f"row {i}")
     return records

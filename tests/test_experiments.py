@@ -522,6 +522,13 @@ def test_optimize_strategy_value_attained(family, kind, input_mode):
     assert abs(p - strategy_value(kind, spec0, spec1, sched)) <= 1e-14
 
 
+def test_optimize_strategy_refuses_a_count_past_its_cap():
+    specs = ChannelSpec("bit-flip", 0.7), ChannelSpec("bit-flip", 0.3)
+    for kind, shots in (("global", 11), ("bayesian", 15)):
+        with pytest.raises(ValueError, match=rf"^{kind} strategy capped at \d+ shots, got {shots}$"):
+            optimize_strategy(kind, *specs, shots)
+
+
 def test_warm_starts_of_another_width_are_refused():
     # A start of width 2d used to be read as two starts, one of width d + 1
     # failed in numpy's reshape. The depolarizing family runs no search, and
@@ -603,7 +610,8 @@ def test_sweep_cell_inputs_reproduce_its_values():
     i, row = 4, rows[4]
     problems = [(kind, (row.eta0, row.eta1), OptimizerConfig(seed=cfg.seed + 104729 * i))
                 for kind in ("bayesian", "markovian")]
-    found = experiments._optimize(problems, cfg.family, experiments.SWEEP_SHOTS, "flat")
+    (pairs,) = experiments._optimize(problems, cfg.family, (experiments.SWEEP_SHOTS,), "flat")
+    found = [res for res, _ in pairs]
     assert (found[0].best_value, found[1].best_value) == (row.p_bayes, row.p_markov)
     specs = ChannelSpec(cfg.family, row.eta0), ChannelSpec(cfg.family, row.eta1)
     for (kind, _, _), res in zip(problems, found):
@@ -691,6 +699,34 @@ def test_read_back_rejects_rows_of_the_wrong_length():
     for bad in ("0.5,0.1,0.7,0.7", "0.5,0.1,0.7,0.7,0,0.1"):
         with pytest.raises(ValueError, match="line 4"):
             read_records_csv(io.StringIO(header + bad + "\n"))
+
+
+def test_read_back_names_the_line_and_column_of_a_bad_cell():
+    header = "# qcdisc\neta0,eta1,p_bayes,p_markov,diff\n0.5,0.1,0.7,0.7,0\n"
+    for bad, refusal in (
+        ("0.5,0.1,x,0.7,0", "line 4, column p_bayes: cannot read 'x'"),
+        ("0.5,0.1,0.3,0.7,0", "line 4, column p_bayes: 0.3 is not a number in [0.5, 1]"),
+        ("0.5,0.1,0.7,nan,0", "line 4, column p_markov: nan is not a number in [0.5, 1]"),
+        ("0.5,0.1,0.7,0.7,", "line 4, column diff: cannot read ''"),
+    ):
+        with pytest.raises(ValueError) as info:
+            read_records_csv(io.StringIO(header + bad + "\n"))
+        assert str(info.value) == refusal
+    curve = "family,n,r_values\nbit-flip,2,0.5;0.5\n"
+    for bad, refusal in (("bit-flip,2.5,0.5;0.5", "line 3, column n: cannot read '2.5'"),
+                         ("bit-flip,2,0.5;y", "line 3, column r_values: cannot read '0.5;y'")):
+        with pytest.raises(ValueError) as info:
+            read_records_csv(io.StringIO(curve + bad + "\n"))
+        assert str(info.value) == refusal
+
+
+@pytest.mark.parametrize("value", ["0.7", None, True, [0.7], 0.3])
+def test_json_read_back_names_the_row_and_column_of_a_bad_success_probability(value):
+    # A string or null used to fail the range check with a TypeError.
+    rows = [{"n": 1, "p_succ": 0.7}, {"n": 2, "p_succ": value}]
+    with pytest.raises(ValueError) as info:
+        read_records_json(io.StringIO(json.dumps({"rows": rows})))
+    assert str(info.value) == f"row 1, column p_succ: {value!r} is not a number in [0.5, 1]"
 
 
 def test_csv_cells_read_back_as_their_declared_types():
