@@ -9,6 +9,16 @@ both hypotheses, and the measurements follow it. Channels are
 depolarizing, bit-flip and amplitude damping; the damping channel is
 parametrized by an angle eta in [0, pi/2] (damping probability sin^2 eta).
 
+The same argument gives the mirror of :data:`MIRRORED`. X maps the input
+r to 1 - r, and bit-flip commutes with X, so the outputs for 1 - r are
+those for r turned by X, under both hypotheses. Any strategy can measure
+in the turned basis and see the same outcomes with the same
+probabilities, so every success probability is unchanged when any shot's
+r, or any node's r in an adaptive schedule, goes to 1 - r. In the
+outputs, 1 - r swaps rho00 and rho11 and keeps rho01. Amplitude damping
+has no such mirror: |0> is its fixed point and |1> is not. Depolarizing
+commutes with X too, but its values do not depend on the inputs at all.
+
 The output formulas are written once, in :func:`_entries`, for floats and
 arrays alike, and the range of eta is checked once, in :func:`_check_eta`.
 """
@@ -21,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ChannelFamily", "ChannelSpec", "output_entries"]
+__all__ = ["MIRRORED", "ChannelFamily", "ChannelSpec", "output_entries"]
 
 
 class ChannelFamily(str, enum.Enum):
@@ -29,6 +39,10 @@ class ChannelFamily(str, enum.Enum):
     BIT_FLIP = "bit-flip"
     AMPLITUDE_DAMPING = "amplitude-damping"
 
+
+# The families whose success probabilities are unchanged when any input r
+# goes to 1 - r (see the module docstring).
+MIRRORED = frozenset({ChannelFamily.BIT_FLIP})
 
 ETA_MAX = {
     ChannelFamily.DEPOLARIZING: 1.0,

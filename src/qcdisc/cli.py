@@ -21,6 +21,7 @@ import sys
 from . import __version__
 from .channels import ChannelFamily
 from .experiments import (
+    GRID_STEPS_MAX,
     VALID_STRATEGIES,
     VALID_SUITES,
     ConfigError,
@@ -40,7 +41,7 @@ _HELP = {
     "eta0": "noise parameter of channel 0; repeat for several points",
     "eta1": "noise parameter of channel 1, paired with --eta0 in order",
     "family": f"channel family: {', '.join(family.value for family in ChannelFamily)}",
-    "grid": "MIN:MAX:STEPS eta grid for both axes",
+    "grid": f"MIN:MAX:STEPS eta grid for both axes, STEPS from 2 to {GRID_STEPS_MAX}",
     "n_max": "largest shot count, an integer >= 1",
     "strategies": f"comma-separated subset of {','.join(VALID_STRATEGIES)}",
     "input_mode": " or ".join(mode.value for mode in ScheduleMode),

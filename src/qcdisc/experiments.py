@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import ChannelFamily, ChannelSpec, ETA_MAX
+from .channels import ChannelFamily, ChannelSpec, ETA_MAX, MIRRORED
 from .helstrom import WeightedPair, brute_force_povm, optimal_povm, povm_defect
 # maximize is not called here, but stays importable from this module: the
 # traced benchmark run (perfbench/run.py) wraps experiments.maximize.
@@ -59,6 +59,11 @@ __all__ = [
 TOOL = f"qcdisc {__version__}"
 SWEEP_SHOTS = 3
 ADAPTIVE_PARAM_CAP = 64
+# Most steps of a sweep's grid: a sweep holds the searches of all its
+# steps * (steps - 1) / 2 cells at once, and its peak memory grows by up to
+# 0.15 MiB a cell (amplitude damping, adaptive; 305 MiB at 60 steps), so
+# 200 steps (19 900 cells) take about 3 GiB.
+GRID_STEPS_MAX = 200
 
 VALID_STRATEGIES = tuple(kind.value for kind in StrategyKind)
 # The strategies that choose each shot's measurement from earlier outcomes.
@@ -187,6 +192,8 @@ def make_config(
             ) from None
         gmin, gmax = _number(float, gmin, "grid min"), _number(float, gmax, "grid max")
         steps = _number(int, steps, "grid steps", 2)
+        if steps > GRID_STEPS_MAX:
+            raise ConfigError(f"grid steps must be <= {GRID_STEPS_MAX}, got {steps}")
         if not (0.0 <= gmin * hi < gmax * hi <= hi):
             raise ConfigError(f"grid [{gmin:g}, {gmax:g}] invalid for {family.value}")
         entered_grid = (gmin, gmax, steps)
@@ -272,12 +279,17 @@ def _optimize(problems, family: ChannelFamily, counts, input_mode: str):
     They run over the angle x with r = sin^2(pi x / 2): every value is even
     in the angle about both ends of the box, so an optimum at r = 0 or 1,
     where values move like sqrt(r) or sqrt(1 - r), is a smooth stationary
-    point in x. A problem's own ``extra_starts``, in r, are for a one-count
-    call, and refused for every family if not of its layout's width. A
-    search flat at the count before also starts from its best inputs there,
-    extended by 0, 1/2 and 1 (it is flat at this count too, as an adaptive
-    layout only grows with the count). The depolarizing family is input
-    independent: each objective is evaluated once, at the zero point.
+    point in x. A feedforward search takes the optimizer's one-call step,
+    as its calls cost mostly per call, and on a family of ``MIRRORED`` its
+    lattice of starts is taken modulo the mirror r -> 1 - r, which in x is
+    x -> 1 - x; a global search takes neither. A problem's own
+    ``extra_starts``, in r, are for a one-count call, and refused for every
+    family if not of its layout's width. A search flat at the count before
+    also starts from its best inputs there, extended by 0, 1/2 and 1 (it is
+    flat at this count too, as an adaptive layout only grows with the
+    count); a problem with no starts of either kind keeps its config. The
+    depolarizing family is input independent: each objective is evaluated
+    once, at the zero point.
     """
     warm = [()] * len(problems)  # each problem's starts from the count before
     out = []
@@ -290,7 +302,7 @@ def _optimize(problems, family: ChannelFamily, counts, input_mode: str):
                 d, mode = _layout(kind, shots, input_mode)
                 groups.setdefault((d, mode, kind is StrategyKind.GLOBAL), []).append(i)
         results = [None] * len(problems)
-        for (d, mode, _), members in groups.items():
+        for (d, mode, is_global), members in groups.items():
             kinds, cells, cfgs = zip(*(problems[i] for i in members))
             objective = values_objective(kinds, family, *zip(*cells), shots, mode)
             if family is ChannelFamily.DEPOLARIZING:
@@ -299,9 +311,14 @@ def _optimize(problems, family: ChannelFamily, counts, input_mode: str):
                 values = objective(np.arange(len(members)), np.zeros((len(members), d)))
                 found = [OptResult(np.zeros(d), float(v), 1, True) for v in values]
             else:
-                xs = [_to_x([*c.extra_starts, *warm[i]]).tolist() for i, c in zip(members, cfgs)]
-                cfgs = [dataclasses.replace(cfg, extra_starts=tuple(x)) for cfg, x in zip(cfgs, xs)]
-                in_x = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs)
+                cfgs = [dataclasses.replace(cfg, extra_starts=tuple(
+                    _to_x([*cfg.extra_starts, *warm[i]]).tolist()))
+                    if len(cfg.extra_starts) or len(warm[i]) else cfg
+                    for i, cfg in zip(members, cfgs)]
+                # A feedforward call costs mostly per call, a global one per row.
+                in_x = maximize_batch(lambda problem, x: objective(problem, _to_r(x)), d, cfgs,
+                                      mirrored=not is_global and family in MIRRORED,
+                                      one_call=not is_global)
                 found = [dataclasses.replace(res, best_point=_to_r(res.best_point)) for res in in_x]
             for i, res in zip(members, found):
                 results[i] = res
@@ -597,6 +614,20 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
         ):
             gap = strategy_value("markovian", *pair, markov)
             worst_three = max(worst_three, gap - strategy_value("bayesian", *pair, bayes))
+    # The bit-flip mirror of the channels module: any shot's or node's
+    # r -> 1 - r keeps every value.
+    worst_mirror = 0.0
+    for i in range(20):
+        pair = _random_spec_pair(rng, ChannelFamily.BIT_FLIP)
+        for kind, mode in (("global", "flat"), *((k, m) for k in _FEEDFORWARD for m in ScheduleMode)):
+            widths = level_widths(kind, mode, 1 + i % 4)
+            r = rng.random(sum(widths))
+            values = []
+            for row in (r, np.where(rng.random(r.size) < 0.5, 1.0 - r, r)):
+                sched = (InputSchedule.flat(row) if mode == "flat" else
+                         InputSchedule.adaptive(np.split(row, np.cumsum(widths)[:-1])))
+                values.append(strategy_value(kind, *pair, sched))
+            worst_mirror = max(worst_mirror, abs(values[0] - values[1]))
     return [
         CheckResult("reductions/one-shot", worst_one, 1e-12),
         CheckResult("reductions/two-shot-bayes-markov", worst_two, 1e-12),
@@ -604,6 +635,7 @@ def _suite_reductions(seed: int) -> list[CheckResult]:
         CheckResult("reductions/box-edge-ties", worst_edge, 1e-6),
         CheckResult("reductions/pure-outputs", worst_pure, 1e-12),
         CheckResult("reductions/three-shot-bayesian-above-markovian", worst_three, 1e-12),
+        CheckResult("reductions/bit-flip-mirror", worst_mirror, 1e-12),
     ]
 
 

@@ -3,9 +3,12 @@
 The objectives here are smooth, cheap, low-dimensional and often maximized
 on the boundary of the unit box, so the start set is the {0, 1/2, 1}
 corner/center lattice (replaced by a seeded Latin hypercube once the
-lattice outgrows the start cap). Candidate points are clamped into the box.
-All starts of all problems run in lockstep on stacked arrays, so a batched
-objective sees one call per Nelder-Mead step for all of them.
+lattice outgrows the start cap), or its quotient {0, 1/2}^d for an
+objective that is unchanged when any coordinate x goes to 1 - x.
+Candidate points are clamped into the box. All starts of all problems run
+in lockstep on stacked arrays, so a batched objective sees one call per
+Nelder-Mead step kind for all of them, or, on a short batch of an
+objective whose calls cost mostly per call, one call per step.
 """
 
 from __future__ import annotations
@@ -23,6 +26,13 @@ __all__ = ["OptResult", "OptimizerConfig", "maximize", "maximize_batch"]
 _ALPHA, _GAMMA, _BETA, _DELTA = 1.0, 2.0, 0.5, 0.5
 # Edge length of each start's initial simplex.
 _INITIAL_STEP = 0.25
+# Rows up to which a one-call step evaluates every live start's reflection,
+# expansion and contraction points at once; a step adds at most two rows
+# per start and saves one call. A three-shot feedforward objective call
+# costs about 90 us plus 0.25 us a row up to 600 rows (flat; 0.5 us on the
+# 7-node Bayesian tree), and 0.6 us a row beyond (one BLAS thread, Xeon).
+# On the three 8-step sweeps, 300 and 600 ran alike, 1 200 and 2 400 slower.
+_ONE_CALL_ROWS = 600
 
 
 def _whole(value, name: str, low: int, c_long: bool = True) -> int:
@@ -105,17 +115,19 @@ def _latin_hypercube(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice(d: int) -> np.ndarray:
-    """The {0, 1/2, 1}^d lattice, read-only: one array per d is shared."""
-    axes = np.array([0.0, 0.5, 1.0])
+def _lattice(d: int, mirrored: bool) -> np.ndarray:
+    """The {0, 1/2, 1}^d lattice, or its quotient {0, 1/2}^d by the mirror
+    x -> 1 - x of each coordinate, read-only: one array per (d, mirrored)
+    is shared. The quotient keeps its points in the lattice's order."""
+    axes = np.array([0.0, 0.5] if mirrored else [0.0, 0.5, 1.0])
     pts = np.stack([g.ravel() for g in np.meshgrid(*([axes] * d), indexing="ij")], axis=1)
     pts.flags.writeable = False
     return pts
 
 
-def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
+def _starts(d: int, cfg: OptimizerConfig, mirrored: bool = False) -> np.ndarray:
     if 3**d <= cfg.max_starts:
-        pts = _lattice(d)
+        pts = _lattice(d, mirrored)
     else:
         # Keep the all-corner and center points, fill the rest at random.
         fixed = np.array([[0.0] * d, [0.5] * d, [1.0] * d])
@@ -127,7 +139,8 @@ def _starts(d: int, cfg: OptimizerConfig) -> np.ndarray:
     return pts
 
 
-def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
+def maximize_batch(objective, d: int, cfgs, *, mirrored: bool = False,
+                   one_call: bool = False) -> list[OptResult]:
     """Best point of each of several problems over the unit box [0, 1]^d.
 
     ``objective(problem, x)`` takes an index array ``problem`` of shape
@@ -137,6 +150,13 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     runs its own Nelder-Mead search (points clamped into the box), and all
     of them advance in phase, one objective call per step kind: the
     reflections, then the expansions and contractions, then the shrinks.
+    With ``one_call``, a step of at most ``_ONE_CALL_ROWS`` points evaluates
+    every live start's reflection, expansion and contraction points in one
+    call instead, and keeps and counts only the points that the step-kind
+    search evaluates: the choice for an objective whose calls cost mostly
+    per call, not per row. ``mirrored`` says that every objective is
+    unchanged when any coordinate x goes to 1 - x, so a lattice of starts
+    is taken modulo that mirror, as {0, 1/2}^d.
     A start follows the same trajectory as it would alone, as long as the
     objective's value for a row does not depend on the other rows.
     Returns one :class:`OptResult` per problem; ``converged`` is True only
@@ -147,7 +167,7 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
     if not len(cfgs):
         return []
     # One row per start, stacked problem by problem.
-    starts = [_starts(d, cfg) for cfg in cfgs]
+    starts = [_starts(d, cfg, mirrored) for cfg in cfgs]
     problem = np.repeat(np.arange(len(cfgs)), [len(pts) for pts in starts])
     x0 = np.vstack(starts)
     rows = len(problem)
@@ -209,16 +229,32 @@ def maximize_batch(objective, d: int, cfgs) -> list[OptResult]:
         centroid /= d
         worst = simplex[:, -1]
         reflected = _box(centroid + _ALPHA * (centroid - worst))
-        fr = g(live, reflected)
+        n = len(live)
+        fused = one_call and 3 * n <= _ONE_CALL_ROWS
+        if fused:
+            # Every start's expansion and contraction points go into the
+            # reflection's call, stacked after the reflected points.
+            points = np.concatenate([reflected, _box(centroid + _GAMMA * (centroid - worst)),
+                                     _box(centroid + _BETA * (worst - centroid))])
+            f_all = g(np.tile(live, 3), points)
+            fr = f_all[:n]
+        else:
+            fr = g(live, reflected)
         evals += 1
         best_f, second_f, worst_f = values[:, 0], values[:, -2], values[:, -1]
         accept = (best_f <= fr) & (fr < second_f)
         expand = fr < best_f
-        # The others try an expansion or a contraction point, formed only for them.
+        # The others try an expansion or a contraction point: read from the
+        # one call, or formed only for them.
         tried = np.flatnonzero(~accept)
-        c, w, e = centroid.take(tried, axis=0), worst.take(tried, axis=0), expand.take(tried)
-        trial = _box(np.where(e[:, None], c + _GAMMA * (c - w), c + _BETA * (w - c)))
-        ft = g(live.take(tried), trial) if tried.size else fr[:0]
+        e = expand.take(tried)
+        if fused:
+            pick = tried + n * (2 - e)
+            trial, ft = points.take(pick, axis=0), f_all.take(pick)
+        else:
+            c, w = centroid.take(tried, axis=0), worst.take(tried, axis=0)
+            trial = _box(np.where(e[:, None], c + _GAMMA * (c - w), c + _BETA * (w - c)))
+            ft = g(live.take(tried), trial) if tried.size else fr[:0]
         evals[tried] += 1
         kept = np.where(e, ft < fr.take(tried), ft < worst_f.take(tried))
         # Accepted and expanding starts take the reflected point, and then

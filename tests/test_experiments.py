@@ -619,6 +619,35 @@ def test_sweep_cell_inputs_reproduce_its_values():
         assert abs(strategy_value(kind, *specs, sched) - res.best_value) <= 1e-12
 
 
+def test_optimize_takes_the_quotient_and_one_call_step_for_feedforward_only(monkeypatch):
+    # Global groups take neither; feedforward groups take the one-call step,
+    # and the mirror quotient on bit-flip only. A problem without starts
+    # keeps its own config, which needs no rebuilding.
+    seen = []
+
+    def spy(objective, d, cfgs, **kwargs):
+        seen.append((d, cfgs, kwargs))
+        return maximize_batch(objective, d, cfgs, **kwargs)
+
+    monkeypatch.setattr(experiments, "maximize_batch", spy)
+    cfg = OptimizerConfig(max_evals=60)
+    for family, mirrored in (("bit-flip", True), ("amplitude-damping", False)):
+        seen.clear()
+        problems = [(kind, (0.7, 0.3), cfg) for kind in VALID_STRATEGIES]
+        experiments._optimize(problems, ChannelFamily(family), (2,), "flat")
+        by_kind = {len(cfgs): kwargs for _, cfgs, kwargs in seen}
+        assert by_kind == {1: dict(mirrored=False, one_call=False),
+                           2: dict(mirrored=mirrored, one_call=True)}
+        assert all(c is cfg for _, cfgs, _ in seen for c in cfgs)
+
+
+def test_grid_steps_past_the_cap_are_refused():
+    cap = experiments.GRID_STEPS_MAX
+    assert make_config("bit-flip", grid=(0.0, 1.0, cap)).grid[2] == cap
+    with pytest.raises(ConfigError, match=f"grid steps must be <= {cap}, got {cap + 1}"):
+        make_config("bit-flip", grid=(0.0, 1.0, cap + 1))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -1061,6 +1090,8 @@ _POINT = ["--eta0", "0.7", "--eta1", "0.3"]
     (["sweep-diff", "--family", "bit-flip", "--grid", "0:1:3", "--max-evals", str(10**20)],
      "max_evals"),
     (["sweep-diff", "--family", "bit-flip", "--grid", f"0:1:{10**20}"], "grid steps"),
+    (["sweep-diff", "--family", "bit-flip", "--grid", f"0:1:{2**63 - 1}"], "grid steps"),
+    (["sweep-diff", "--family", "bit-flip", "--grid", "0:1:4000000000"], "grid steps"),
 ])
 def test_cli_bad_flag_values_return_2(capsys, argv, setting):
     # A flag's text is parsed by make_config or run_validate, as a config

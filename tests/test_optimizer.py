@@ -7,6 +7,7 @@ import pytest
 from qcdisc.channels import ChannelFamily, ChannelSpec
 from qcdisc.optimizer import (
     _INITIAL_STEP,
+    _ONE_CALL_ROWS,
     OptimizerConfig,
     OptResult,
     _starts,
@@ -314,6 +315,14 @@ def assert_same_result(got, want):
     assert got.converged == want.converged
 
 
+def maximize_both_steps(objective, d, cfg):
+    """:func:`maximize`, checked to equal the one-call step's result."""
+    res = maximize(objective, d, cfg)
+    batch = lambda _, x: [objective(row) for row in x]  # noqa: E731
+    assert_same_result(maximize_batch(batch, d, [cfg], one_call=True)[0], res)
+    return res
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
 def test_maximize_matches_sequential_reference(d):
     # Lattice and Latin-hypercube starts, extra starts, tight and cut budgets.
@@ -326,7 +335,7 @@ def test_maximize_matches_sequential_reference(d):
     for objective in OBJECTIVES:
         for cfg in configs:
             want = reference_maximize(objective, d, cfg)
-            assert_same_result(maximize(objective, d, cfg), want)
+            assert_same_result(maximize_both_steps(objective, d, cfg), want)
 
 
 def test_budget_cut_mid_shrink_matches_reference():
@@ -339,7 +348,7 @@ def test_budget_cut_mid_shrink_matches_reference():
                 before = stats.get("cut_shrinks", 0)
                 want = reference_maximize(objective, d, cfg, stats)
                 cut += stats.get("cut_shrinks", 0) > before
-                assert_same_result(maximize(objective, d, cfg), want)
+                assert_same_result(maximize_both_steps(objective, d, cfg), want)
     assert cut > 0  # the scan did reach budgets that run out inside a shrink
 
 
@@ -355,3 +364,44 @@ def test_maximize_batch_solves_each_problem_as_alone():
         alone = maximize(lambda x: -float(np.sum((x - centers[j]) ** 2)), 2, cfg)
         assert_same_result(res, alone)
     assert results[0].converged and not results[1].converged
+
+
+def test_one_call_step_makes_fewer_calls_on_a_small_batch():
+    centers = np.array([0.1, 0.5, 0.8])
+    cfgs = [OptimizerConfig(seed=s) for s in range(3)]
+    calls = []
+
+    def objective(problem, x):
+        calls.append(len(problem))
+        return -np.sum((x - centers[problem, None]) ** 2, axis=1)
+
+    by_kind = maximize_batch(objective, 2, cfgs)
+    kind_calls, calls[:] = len(calls), []
+    one_call = maximize_batch(objective, 2, cfgs, one_call=True)
+    for got, want in zip(one_call, by_kind):
+        assert_same_result(got, want)
+    # 27 starts: a step's three points fit in one call from the start.
+    assert 3 * 27 <= _ONE_CALL_ROWS and len(calls) < 0.75 * kind_calls
+
+
+def test_mirrored_lattice_is_its_quotient():
+    for d in (1, 2, 3):
+        full, half = _starts(d, OptimizerConfig()), _starts(d, OptimizerConfig(), mirrored=True)
+        # One point of each orbit under x -> 1 - x per coordinate, in the lattice's order.
+        assert np.array_equal(half, full[(full < 1.0).all(axis=1)]) and len(half) == 2**d
+    # Past the lattice, the Latin-hypercube starts stay as they are.
+    cfg = OptimizerConfig(seed=3, max_starts=12)
+    assert np.array_equal(_starts(3, cfg, mirrored=True), _starts(3, cfg))
+
+
+def test_mirrored_search_reaches_the_mirror_symmetric_optimum():
+    # Even about 1/2 in each coordinate, with its maxima at the corners.
+    def objective(x):
+        return float(np.sum((np.asarray(x) - 0.5) ** 2)) + 0.1 * math.cos(3 * x[0] - 1.5)
+
+    for d in (1, 2, 3):
+        full = maximize(objective, d, TIGHT)
+        half = maximize_batch(lambda _, x: [objective(row) for row in x], d, [TIGHT],
+                              mirrored=True)[0]
+        assert abs(half.best_value - full.best_value) <= 1e-12
+        assert half.evaluations < full.evaluations

@@ -9,7 +9,7 @@ import pytest
 from conftest import FAMILIES, random_spec_pair
 from oracles import InputState, apply, eigen_hermitian, outcome_probs, pure_state
 import qcdisc.strategies as strategies
-from qcdisc.channels import ETA_MAX, ChannelFamily, ChannelSpec, output_entries
+from qcdisc.channels import ETA_MAX, MIRRORED, ChannelFamily, ChannelSpec, output_entries
 from qcdisc.helstrom import WeightedPair, optimal_povm
 from qcdisc.optimizer import maximize
 from qcdisc.strategies import (
@@ -303,6 +303,38 @@ def test_pure_outputs_all_strategies_agree(rng):
         pg = global_value(spec0, spec1, sched)
         assert abs(bayesian_value(spec0, spec1, sched) - pg) <= 1e-14, row
         assert abs(markovian_value(spec0, spec1, sched) - pg) <= 1e-14, row
+
+
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_bit_flip_mirror_keeps_every_value(rng, dyadic):
+    # X commutes with bit-flip and maps r to 1 - r: any shot's (flat) or
+    # node's (adaptive) r -> 1 - r keeps B and M, to the bit where 1 - r is
+    # exact, and G within rounding. Amplitude damping has no such mirror.
+    assert ChannelFamily.BIT_FLIP in MIRRORED and ChannelFamily.AMPLITUDE_DAMPING not in MIRRORED
+    moved = 0.0
+    for i in range(40):
+        shots = 1 + i % 4
+        for pair in (random_spec_pair(rng, ChannelFamily.BIT_FLIP),
+                     random_spec_pair(rng, ChannelFamily.AMPLITUDE_DAMPING)):
+            for kind, mode in (("global", "flat"), *itertools.product(
+                    ("bayesian", "markovian"), ("flat", "adaptive"))):
+                widths = level_widths(kind, mode, shots)
+                r = rng.integers(0, 65, sum(widths)) / 64 if dyadic else rng.random(sum(widths))
+                flip = rng.random(r.size) < 0.5
+                flip[rng.integers(r.size)] = True  # at least one r moves
+                values = []
+                for row in (r, np.where(flip, 1.0 - r, r)):
+                    sched = (InputSchedule.flat(row) if mode == "flat" else
+                             InputSchedule.adaptive(np.split(row, np.cumsum(widths)[:-1])))
+                    values.append(strategy_value(kind, *pair, sched))
+                gap = abs(values[0] - values[1])
+                if pair[0].family is ChannelFamily.AMPLITUDE_DAMPING:
+                    moved = max(moved, gap)
+                elif kind == "global" or not dyadic:
+                    assert gap <= 1e-15, (kind, mode, r, flip)
+                else:
+                    assert values[0] == values[1], (kind, mode, r, flip)
+    assert moved > 1e-2
 
 
 def test_depolarizing_input_independence(rng):

@@ -25,11 +25,13 @@ side's evaluations per strategy and rows. ``sweeps`` (R = 24) times the
 ``run_sweep_diff`` of each family on perfbench's grid (``0:1:SWEEP_STEPS`` of
 the parent's perfbench/workloads.py), seed S, one job, in seconds, with each
 side's time inside the objective that ``values_objective`` returns and
-outside it, and records whether both sides' rows are equal. The JSON record
-holds, per entry, both sides' samples and medians and the median and
-quartiles of the per-round change/parent ratio, and the machine; for
-``sweeps`` also a ``split`` table of the same kind for the time inside and
-outside the objective, per family and summed over the families (``all``).
+outside it, records each side's objective calls and rows of one round per
+family, which repeat exactly, and records whether both sides' rows and
+counts are equal. The JSON record holds, per entry, both sides' samples and
+medians and the median and quartiles of the per-round change/parent ratio,
+and the machine; for ``sweeps`` also a ``split`` table of the same kind for
+the time inside and outside the objective, per family and summed over the
+families (``all``), and the ``counts``.
 """
 
 import os
@@ -126,7 +128,8 @@ def _walk_entries(packages, plan, trials: int, seed: int) -> dict:
 
 def _timed_objectives(experiments, clock: list) -> None:
     """Make ``experiments.values_objective`` return objectives that add the
-    seconds they spend to ``clock[0]``."""
+    seconds they spend to ``clock[0]``, and their calls and rows to
+    ``clock[1]`` and ``clock[2]``."""
     build = experiments.values_objective
 
     def values_objective(*args, **kwargs):
@@ -138,6 +141,8 @@ def _timed_objectives(experiments, clock: list) -> None:
                 return objective(problem, r_rows)
             finally:
                 clock[0] += time.perf_counter() - t0
+                clock[1] += 1
+                clock[2] += len(problem)
 
         return timed
 
@@ -177,10 +182,14 @@ def main(argv=None) -> int:
     rounds = args.rounds or {"walks": 16, "curves": 4, "sweeps": 24}[args.plan]
     if rounds < 2 or rounds % 2 or args.jobs < 1:
         raise SystemExit("error: --rounds must be even and >= 2, and --jobs >= 1")
+    if args.plan == "sweeps" and args.jobs != 1:
+        # Workers would run objectives that this process neither times nor counts.
+        raise SystemExit("error: --plan sweeps measures the objective in this process: --jobs 1")
     roots = [Path(args.parent).resolve(), Path(args.change).resolve()]
     record = {"plan": args.plan, **dict(zip(SIDES, map(str, roots))), "rounds": rounds,
               "seed": args.seed, "jobs": args.jobs}
-    clocks = ([0.0], [0.0])  # each side's seconds inside the objective, sweeps only
+    # Each side's seconds, calls and rows inside the objective, sweeps only.
+    clocks = ([0.0, 0, 0], [0.0, 0, 0])
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)  # spawned --jobs workers inherit it
@@ -202,16 +211,17 @@ def main(argv=None) -> int:
             for package, clock in zip(packages, clocks):
                 _timed_objectives(package.experiments, clock)
             entries = {family: ([functools.partial(e.run_sweep_diff, e.make_config(
-                family, grid=record["grid"], seed=args.seed, jobs=args.jobs))
+                family, grid=record["grid"], seed=args.seed))
                 for e in (p.experiments for p in packages)], 1, 1.0) for family in FAMILIES}
         samples = {label: ([], []) for label in entries}
         inside = {label: ([], []) for label in entries}
         results = {}  # each side's result of the first round, per entry
+        counts = {}  # each side's objective calls and rows of the first round, per entry
         for k in range(rounds):
             for label, (runs, reps, scale) in entries.items():
                 spent = [0.0, 0.0]
                 for clock in clocks:
-                    clock[0] = 0.0
+                    clock[:] = [0.0, 0, 0]
                 gc.disable()
                 for _ in range(reps):  # the two sides' passes alternate within a sample too
                     for i in (0, 1) if k % 2 == 0 else (1, 0):
@@ -223,6 +233,8 @@ def main(argv=None) -> int:
                 for i in (0, 1):
                     samples[label][i].append(spent[i] / reps * scale)
                     inside[label][i].append(clocks[i][0] / reps * scale)
+                    counts.setdefault((label, SIDES[i]), {
+                        "objective_calls": clocks[i][1] // reps, "rows": clocks[i][2] // reps})
 
     record["machine"] = {"cpu": _cpu(), "nproc": os.cpu_count(), "blas_threads": 1,
                          "python": platform.python_version(), "numpy": np.__version__}
@@ -257,6 +269,12 @@ def main(argv=None) -> int:
                        for family in FAMILIES} for side in SIDES}
         record["rows_equal"] = rows["parent"] == rows["change"]
         print(f"rows equal on both sides: {record['rows_equal']}")
+        by_side = record["counts"] = {side: {family: counts[family, side] for family in FAMILIES}
+                                      for side in SIDES}
+        for side, by_family in by_side.items():
+            print(f"{side} objective calls and rows: {by_family}")
+        record["counts_equal"] = by_side["parent"] == by_side["change"]
+        print(f"counts equal on both sides: {record['counts_equal']}")
     if args.plan == "curves":
         by_side = record["curves"] = {side: {family: {
             "evaluations": {s: sum(r.evaluations for r in results[family, side] if r.strategy == s)
