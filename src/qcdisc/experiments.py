@@ -9,6 +9,7 @@ the raw radian values so rows are unambiguous.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -352,18 +353,9 @@ def optimize_strategy(
     return res.best_value, tuple(float(v) for v in res.best_point), res.evaluations
 
 
-def _search_task(payload) -> list[list[tuple]]:
-    """:func:`_optimize` of ``(kind, (eta0, eta1), seed)`` problems, on ``cfg``'s settings."""
-    cfg, problems, counts = payload
-    problems = [(kind, point, OptimizerConfig(
-        value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed, max_starts=cfg.max_starts))
-        for kind, point, seed in problems]
-    return _optimize(problems, cfg.family, counts, cfg.input_mode)
-
-
 def _search(cfg: ExperimentConfig, problems: list, counts) -> list[list]:
-    """For each shot count, one ``(result, wall time)`` per problem, as
-    :func:`_optimize` gives them for all ``problems``.
+    """For each shot count, one ``(result, wall time)`` per ``(kind, (eta0,
+    eta1), seed)`` problem, as :func:`_optimize` gives them on ``cfg``'s settings.
 
     ``jobs`` splits the problems into that many contiguous runs, one task
     each, the earlier runs no longer than the later: a one-point curve at
@@ -371,10 +363,13 @@ def _search(cfg: ExperimentConfig, problems: list, counts) -> list[list]:
     all its count's searches in its run. Warns once if any search did not
     converge.
     """
+    problems = [(kind, point, OptimizerConfig(
+        value_tol=cfg.value_tol, max_evals=cfg.max_evals, seed=seed, max_starts=cfg.max_starts))
+        for kind, point, seed in problems]
     runs = max(1, min(cfg.jobs, len(problems)))
     bounds = [len(problems) * w // runs for w in range(runs + 1)]
-    payloads = [(cfg, problems[a:b], counts) for a, b in zip(bounds, bounds[1:])]
-    parts = _map_tasks(_search_task, payloads, cfg.jobs)
+    task = functools.partial(_optimize, family=cfg.family, counts=counts, input_mode=cfg.input_mode)
+    parts = _map_tasks(task, [problems[a:b] for a, b in zip(bounds, bounds[1:])], cfg.jobs)
     found = [[pair for part in parts for pair in part[c]] for c in range(len(counts))]
     done = [res for results in found for res, _ in results if res is not None]
     missed = sum(not res.converged for res in done)
@@ -781,6 +776,9 @@ def read_records_csv(fh) -> list[dict]:
             continue
         if fields is None:
             fields = line.split(",")
+            repeated = next((key for i, key in enumerate(fields) if key in fields[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"line {lineno}: the header repeats column {repeated!r}")
             parsers = [_CELL_PARSERS.get(_FIELD_TYPES.get(key), float) for key in fields]
             continue
         cells = line.split(",")
@@ -800,7 +798,12 @@ def read_records_csv(fh) -> list[dict]:
 
 
 def read_records_json(fh) -> list[dict]:
-    records = json.load(fh)["rows"]
+    payload = json.load(fh)
+    records = payload.get("rows") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise ValueError("the records file is not a JSON object with a rows list")
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"row {i}: {rec!r} is not an object")
         _check_p_succ(rec, f"row {i}")
     return records

@@ -150,13 +150,14 @@ def maximize_batch(objective, d: int, cfgs, *, mirrored: bool = False,
     runs its own Nelder-Mead search (points clamped into the box), and all
     of them advance in phase, one objective call per step kind: the
     reflections, then the expansions and contractions, then the shrinks.
-    With ``one_call``, a step of at most ``_ONE_CALL_ROWS`` points evaluates
-    every live start's reflection, expansion and contraction points in one
-    call instead, and keeps and counts only the points that the step-kind
-    search evaluates: the choice for an objective whose calls cost mostly
-    per call, not per row. ``mirrored`` says that every objective is
-    unchanged when any coordinate x goes to 1 - x, so a lattice of starts
-    is taken modulo that mirror, as {0, 1/2}^d.
+    Both call plans take their trial points from one array that stacks
+    every live start's reflection, expansion and contraction points. With
+    ``one_call``, a step of at most ``_ONE_CALL_ROWS`` points evaluates the
+    whole array in one call instead, and keeps and counts only the points
+    that the step-kind search evaluates: the choice for an objective whose
+    calls cost mostly per call, not per row. ``mirrored`` says that every
+    objective is unchanged when any coordinate x goes to 1 - x, so a
+    lattice of starts is taken modulo that mirror, as {0, 1/2}^d.
     A start follows the same trajectory as it would alone, as long as the
     objective's value for a row does not depend on the other rows.
     Returns one :class:`OptResult` per problem; ``converged`` is True only
@@ -166,13 +167,15 @@ def maximize_batch(objective, d: int, cfgs, *, mirrored: bool = False,
     d = _whole(d, "d", 1)
     if not len(cfgs):
         return []
-    # One row per start, stacked problem by problem.
+    # One row per start, stacked problem by problem: problem j's are rows bounds[j]:bounds[j + 1].
     starts = [_starts(d, cfg, mirrored) for cfg in cfgs]
-    problem = np.repeat(np.arange(len(cfgs)), [len(pts) for pts in starts])
+    sizes = [len(pts) for pts in starts]
+    bounds = np.cumsum([0, *sizes])
+    problem = np.repeat(np.arange(len(cfgs)), sizes)
     x0 = np.vstack(starts)
     rows = len(problem)
-    tol = np.array([cfgs[j].value_tol for j in problem])
-    budget = np.array([cfgs[j].max_evals for j in problem])
+    tol = np.repeat([cfg.value_tol for cfg in cfgs], sizes)
+    budget = np.repeat([cfg.max_evals for cfg in cfgs], sizes)
 
     def g(live, x):
         return -np.asarray(objective(problem.take(live), x), dtype=float)
@@ -185,9 +188,8 @@ def maximize_batch(objective, d: int, cfgs, *, mirrored: bool = False,
         up = x0[:, i] + _INITIAL_STEP
         simplex[:, i + 1, i] = np.where(up <= 1.0, up, x0[:, i] - _INITIAL_STEP)
     live = np.arange(rows)
-    # One call per vertex rather than one for all keeps a call at one point
-    # per start, as in the reflection step, and so the objective's working
-    # memory down.
+    # One call per vertex rather than one for all keeps the objective's working
+    # memory down: d + 1 points per start in one call would grow with the batch.
     values = np.stack([g(live, simplex[:, i]) for i in range(d + 1)], axis=1)
     evals = np.full(rows, d + 1)
 
@@ -228,33 +230,26 @@ def maximize_batch(objective, d: int, cfgs, *, mirrored: bool = False,
             centroid += simplex[:, i]
         centroid /= d
         worst = simplex[:, -1]
-        reflected = _box(centroid + _ALPHA * (centroid - worst))
+        # Every start's reflection, expansion and contraction points, stacked;
+        # one call evaluates all, or the reflections and then those tried.
         n = len(live)
+        points = _box(np.concatenate([centroid + _ALPHA * (centroid - worst),
+                                      centroid + _GAMMA * (centroid - worst),
+                                      centroid + _BETA * (worst - centroid)]))
+        reflected = points[:n]
         fused = one_call and 3 * n <= _ONE_CALL_ROWS
-        if fused:
-            # Every start's expansion and contraction points go into the
-            # reflection's call, stacked after the reflected points.
-            points = np.concatenate([reflected, _box(centroid + _GAMMA * (centroid - worst)),
-                                     _box(centroid + _BETA * (worst - centroid))])
-            f_all = g(np.tile(live, 3), points)
-            fr = f_all[:n]
-        else:
-            fr = g(live, reflected)
+        f_all = g(np.tile(live, 3), points) if fused else g(live, reflected)
+        fr = f_all[:n]
         evals += 1
         best_f, second_f, worst_f = values[:, 0], values[:, -2], values[:, -1]
         accept = (best_f <= fr) & (fr < second_f)
         expand = fr < best_f
-        # The others try an expansion or a contraction point: read from the
-        # one call, or formed only for them.
+        # The others try their expansion or their contraction point.
         tried = np.flatnonzero(~accept)
         e = expand.take(tried)
-        if fused:
-            pick = tried + n * (2 - e)
-            trial, ft = points.take(pick, axis=0), f_all.take(pick)
-        else:
-            c, w = centroid.take(tried, axis=0), worst.take(tried, axis=0)
-            trial = _box(np.where(e[:, None], c + _GAMMA * (c - w), c + _BETA * (w - c)))
-            ft = g(live.take(tried), trial) if tried.size else fr[:0]
+        pick = tried + n * (2 - e)
+        trial = points.take(pick, axis=0)
+        ft = f_all.take(pick) if fused or not tried.size else g(live.take(tried), trial)
         evals[tried] += 1
         kept = np.where(e, ft < fr.take(tried), ft < worst_f.take(tried))
         # Accepted and expanding starts take the reflected point, and then
@@ -284,11 +279,10 @@ def maximize_batch(objective, d: int, cfgs, *, mirrored: bool = False,
             evals[rid] += count
 
     results = []
-    for j in range(len(cfgs)):
-        mine = np.flatnonzero(problem == j)
-        i = mine[np.argmin(out_g[mine])]  # the first of equal bests
-        results.append(OptResult(out_x[i].copy(), -float(out_g[i]), int(out_evals[mine].sum()),
-                                 bool(out_conv[mine].all())))
+    for a, b in zip(bounds, bounds[1:]):
+        i = a + np.argmin(out_g[a:b])  # the first of equal bests
+        results.append(OptResult(out_x[i].copy(), -float(out_g[i]), int(out_evals[a:b].sum()),
+                                 bool(out_conv[a:b].all())))
     return results
 
 

@@ -295,7 +295,7 @@ def test_jobs_split_runs_a_one_point_curves_first_strategy_alone(monkeypatch):
     sizes = []
 
     def serial(fn, payloads, jobs):
-        sizes.extend(len(problems) for _, problems, _ in payloads)
+        sizes.extend(len(problems) for problems in payloads)
         return [fn(payload) for payload in payloads]
 
     monkeypatch.setattr(experiments, "_map_tasks", serial)
@@ -756,6 +756,28 @@ def test_json_read_back_names_the_row_and_column_of_a_bad_success_probability(va
     with pytest.raises(ValueError) as info:
         read_records_json(io.StringIO(json.dumps({"rows": rows})))
     assert str(info.value) == f"row 1, column p_succ: {value!r} is not a number in [0.5, 1]"
+
+
+@pytest.mark.parametrize("payload, refusal", [
+    ({"tool": "x"}, "the records file is not a JSON object with a rows list"),
+    ({"rows": {"a": 1}}, "the records file is not a JSON object with a rows list"),
+    ({"rows": None}, "the records file is not a JSON object with a rows list"),
+    ([1, 2], "the records file is not a JSON object with a rows list"),
+    ({"rows": [3]}, "row 0: 3 is not an object"),
+    ({"rows": [{"n": 1}, "n"]}, "row 1: 'n' is not an object"),
+], ids=["no rows", "rows an object", "rows null", "a list", "a number row", "a string row"])
+def test_json_read_back_refuses_a_malformed_payload_by_name(payload, refusal):
+    # These raised KeyError, AttributeError or TypeError.
+    with pytest.raises(ValueError) as info:
+        read_records_json(io.StringIO(json.dumps(payload)))
+    assert str(info.value) == refusal
+
+
+def test_csv_read_back_refuses_a_repeated_column():
+    # The second cell used to overwrite the first.
+    with pytest.raises(ValueError) as info:
+        read_records_csv(io.StringIO("# qcdisc\neta0,eta1,eta0\n1,2,3\n"))
+    assert str(info.value) == "line 2: the header repeats column 'eta0'"
 
 
 def test_csv_cells_read_back_as_their_declared_types():

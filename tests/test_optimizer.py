@@ -366,6 +366,31 @@ def test_maximize_batch_solves_each_problem_as_alone():
     assert results[0].converged and not results[1].converged
 
 
+@pytest.mark.parametrize("one_call", [False, True])
+def test_maximize_batch_keeps_each_problems_rows_apart(one_call):
+    # Start sets of 9, 5, 11 and 9 rows: the lattice, a Latin hypercube, the
+    # lattice with two extra starts, and the lattice again; the last two on
+    # small budgets. The objective has several local maxima, so which rows a
+    # problem reads shows in its best point, value and evaluation count.
+    # Each end of a range decides a result: problem 2's best point is its
+    # last start, each of its 11 starts stops after its 3 initial vertices,
+    # and problem 3's first start is the only one that runs out of budget.
+    centers = np.array([[0.1, 0.6], [0.5, 0.3], [0.3, 0.7], [0.35, 0.75]])
+    cfgs = [OptimizerConfig(seed=0), OptimizerConfig(seed=1, max_starts=5),
+            OptimizerConfig(seed=2, max_evals=1, extra_starts=((0.9, 0.2), (0.3, 0.7))),
+            OptimizerConfig(seed=3, max_evals=80)]
+    assert [len(_starts(2, cfg)) for cfg in cfgs] == [9, 5, 11, 9]
+
+    def value(j, x):
+        return -np.sum((x - centers[j]) ** 2, axis=-1) + 0.05 * np.cos(12.0 * np.sum(x, axis=-1))
+
+    results = maximize_batch(value, 2, cfgs, one_call=one_call)
+    for j, (res, cfg) in enumerate(zip(results, cfgs)):
+        assert_same_result(res, maximize(lambda x: float(value(j, x)), 2, cfg))
+    assert np.array_equal(results[2].best_point, [0.3, 0.7]) and results[2].evaluations == 33
+    assert [res.converged for res in results] == [True, True, False, False]
+
+
 def test_one_call_step_makes_fewer_calls_on_a_small_batch():
     centers = np.array([0.1, 0.5, 0.8])
     cfgs = [OptimizerConfig(seed=s) for s in range(3)]
